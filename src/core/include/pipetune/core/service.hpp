@@ -33,8 +33,9 @@ public:
     /// ignored here — use the factory for a queued service.
     PipeTuneService(workload::Backend& backend, ServiceOptions options = {});
 
-    /// Runs the job inline; the returned future is already resolved. Never
-    /// returns nullopt (a serial service has no queue to overflow).
+    /// Runs the job inline; the returned future is already resolved and
+    /// options.on_settled has already run. Never returns nullopt (a serial
+    /// service has no queue to overflow).
     std::optional<Submission> submit(const workload::Workload& workload,
                                      const hpt::HptJobConfig& job_config = {},
                                      SubmitOptions options = {}) override;

@@ -19,6 +19,7 @@
 // (scheduler, runner, policy, metricsdb flushes). Null = telemetry off.
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <optional>
 #include <string>
@@ -58,6 +59,12 @@ struct SubmitOptions {
     /// fresh id would leave the original pending forever. Serial service
     /// only; the concurrent scheduler numbers its own tickets.
     std::uint64_t job_id = 0;
+    /// Completion hook for callers that must not block on (or poll) the
+    /// future. Runs exactly once, on whichever thread settled the job, after
+    /// the future is ready and after the job shows as terminal in
+    /// job_timings() and stats(). The serial service runs it before submit()
+    /// returns. Never runs when submit() returns nullopt.
+    std::function<void()> on_settled{};
 };
 
 /// Unified service configuration (replaces core::ServiceConfig and

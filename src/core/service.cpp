@@ -204,6 +204,7 @@ std::optional<TuningService::Submission> PipeTuneService::submit(
     }
     timing.finish_s = clock_s();
     timings_.push_back(timing);
+    if (options.on_settled) options.on_settled();
     return Submission{id, std::move(future)};
 }
 

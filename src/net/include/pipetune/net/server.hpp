@@ -1,15 +1,24 @@
 #pragma once
 // TuningServer: the network face of core::TuningService (DESIGN.md §11).
-// One epoll IO thread owns every socket; requests cross exactly two seams —
-// a dispatch thread that calls TuningService::submit (so a serial service
-// running jobs inline can never wedge the event loop), and a completion
-// pump that resolves job futures into response frames. Both seams hand
-// bytes back to the IO thread through an outbound queue + eventfd wakeup,
-// so connection state is single-threaded by construction.
+// Two threads. One epoll IO thread owns every socket; submits cross to a
+// dispatch thread that calls TuningService::submit (so a serial service
+// running jobs inline can never wedge the event loop). Nothing polls for
+// completion: each submit carries a SubmitOptions::on_settled hook, and
+// whichever thread settles the job (a scheduler worker, the dispatch thread,
+// or a cancel/discard caller) serializes the reply there and hands the bytes
+// back to the IO thread through an outbound queue + eventfd wakeup, so
+// connection state is single-threaded by construction.
 //
-//   epoll IO thread ── frames ──> dispatch thread ── futures ──> pump
-//        ^                                                        │
-//        └──────────────── outbound queue + eventfd ──────────────┘
+//   epoll IO thread ── frames ──> dispatch thread ── submit() ──> service
+//        ^                                                          │
+//        └──── outbound queue + eventfd <── reply built on settle ──┘
+//
+// One in-flight count covers each submit from the moment the IO thread
+// hands it to dispatch until its last reply is queued; a stopping server
+// exits once that count is zero and the outbound queue is empty. The IO
+// thread blocks in epoll_wait with no timeout — every state change it must
+// see (bytes to send, a stop request, the count reaching zero) arrives as
+// an eventfd poke.
 //
 // Overload never queues unboundedly: tenant quotas reject first (429),
 // then the service's own JobQueue backpressure rejects (configure the
@@ -30,6 +39,7 @@
 #include <deque>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -77,7 +87,7 @@ public:
     TuningServer(const TuningServer&) = delete;
     TuningServer& operator=(const TuningServer&) = delete;
 
-    /// Bind + listen + spawn the IO/dispatch/pump threads. Fails (instead of
+    /// Bind + listen + spawn the IO and dispatch threads. Fails (instead of
     /// throwing) on socket errors — an occupied port is an operator mistake,
     /// not a bug.
     util::Result<void> start();
@@ -134,28 +144,28 @@ private:
     struct Outbound {
         std::uint64_t conn_id = 0;
         std::string bytes;
-        bool close_after = false;
     };
 
-    struct SubmitTask {
-        std::uint64_t conn_id = 0;
-        std::uint64_t request_id = 0;
-        std::string tenant;
-        std::string workload;
-        core::SubmitOptions options;
-        hpt::HptJobConfig job;
-        bool reply_on_completion = true;
-        std::chrono::steady_clock::time_point received_at;
-    };
-
+    /// One admitted submit awaiting its reply. Two parties arrive: the
+    /// dispatch thread once submit() has returned the future, and the
+    /// service's on_settled once the job is terminal. Whichever arrives
+    /// second calls settle().
     struct PendingJob {
         std::uint64_t conn_id = 0;
         std::uint64_t request_id = 0;
         std::string tenant;
-        std::uint64_t job_id = 0;
-        std::future<core::PipeTuneJobResult> result;
-        bool reply = true;
+        bool reply = true;  ///< false: acked as queued, nothing sent on settle
         std::chrono::steady_clock::time_point received_at;
+        std::uint64_t job_id = 0;                     ///< written by dispatch
+        std::future<core::PipeTuneJobResult> result;  ///< written by dispatch
+        std::atomic<int> arrivals{0};
+    };
+
+    struct SubmitTask {
+        std::shared_ptr<PendingJob> pending;
+        std::string workload;
+        core::SubmitOptions options;
+        hpt::HptJobConfig job;
     };
 
     // --- IO thread ---
@@ -173,19 +183,20 @@ private:
     void update_epoll(Connection& conn);
     void sweep_dead();            ///< erase connections closed during the batch
     void begin_stop();            ///< runs on the IO thread when stop is seen
-    bool work_done();             ///< nothing in flight anywhere in the pipeline
+    bool work_done();             ///< no submit in flight, no bytes queued
     void final_flush(Connection& conn);  ///< bounded blocking flush at shutdown
 
     // --- dispatch thread ---
     void dispatch_loop();
     void run_submit(SubmitTask task);
 
-    // --- completion pump ---
-    void pump_loop();
+    // --- whichever thread settles the job ---
+    void arrive(PendingJob& pending);
     void settle(PendingJob& pending);
 
-    // cross-thread: queue bytes for a connection and wake the IO thread
-    void post_outbound(std::uint64_t conn_id, std::string bytes, bool close_after = false);
+    // cross-thread: queue bytes for a connection (if any) and wake the IO
+    // thread; `last` retires the submit from the in-flight count.
+    void post_outbound(std::uint64_t conn_id, std::string bytes, bool last);
     void wake_io();
 
     bool draining() const { return draining_.load(std::memory_order_acquire); }
@@ -198,7 +209,6 @@ private:
 
     std::thread io_thread_;
     std::thread dispatch_thread_;
-    std::thread pump_thread_;
     std::atomic<bool> running_{false};
     std::atomic<bool> stop_requested_{false};
     std::atomic<int> stop_mode_{0};  ///< DrainMode of the first stop request
@@ -212,20 +222,16 @@ private:
 
     std::mutex outbound_mutex_;
     std::deque<Outbound> outbound_;
+    /// Submits between the IO thread's hand-off to dispatch and their last
+    /// queued reply. Incremented by the IO thread; decremented only under
+    /// outbound_mutex_, which work_done() also holds, so a retiring thread
+    /// is done with the server once it unlocks.
+    std::atomic<std::size_t> in_flight_{0};
 
     std::mutex dispatch_mutex_;
     std::condition_variable dispatch_cv_;
     std::deque<SubmitTask> dispatch_queue_;
     bool dispatch_stop_ = false;
-    std::atomic<std::size_t> dispatch_busy_{0};
-
-    std::mutex pending_mutex_;
-    std::condition_variable pending_cv_;
-    std::vector<PendingJob> pending_;
-    bool pump_stop_ = false;
-    /// Jobs the pump has taken out of pending_ but not yet settled — counted
-    /// so work_done() cannot declare the pipeline empty mid-settle.
-    std::atomic<std::size_t> pump_busy_{0};
 
     mutable std::mutex counters_mutex_;
     Counters counters_;

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "pipetune/sched/concurrent_service.hpp"
 #include "pipetune/util/build_info.hpp"
 #include "pipetune/util/logging.hpp"
 #include "pipetune/workload/types.hpp"
@@ -64,13 +65,15 @@ TuningServer::TuningServer(ServerConfig config) : config_(std::move(config)) {
                                "HTTP requests served (GET /metrics)");
         obs_submit_latency_ = &m.histogram(
             "pipetune_net_submit_latency_seconds",
-            {0.001, 0.005, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0}, {},
+            {0.00025, 0.0005, 0.001, 0.002, 0.005, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0,
+             60.0},
+            {},
             "Submit request receipt to settled response");
     }
 }
 
 TuningServer::~TuningServer() {
-    if (io_thread_.joinable() || dispatch_thread_.joinable() || pump_thread_.joinable()) {
+    if (io_thread_.joinable() || dispatch_thread_.joinable()) {
         request_stop(DrainMode::kFast);
         wait();
     }
@@ -126,7 +129,6 @@ util::Result<void> TuningServer::start() {
     running_.store(true, std::memory_order_release);
     io_thread_ = std::thread([this] { io_loop(); });
     dispatch_thread_ = std::thread([this] { dispatch_loop(); });
-    pump_thread_ = std::thread([this] { pump_loop(); });
     PT_LOG_INFO("net") << "pipetune serve listening on " << config_.bind_address << ":"
                        << bound_port_;
     return util::Result<void>::success();
@@ -138,7 +140,8 @@ void TuningServer::request_stop(DrainMode mode) {
     stop_requested_.store(true, std::memory_order_release);
     if (wake_fd_ >= 0) {
         std::uint64_t n = 1;
-        // Best effort; the IO loop's epoll timeout notices the flag anyway.
+        // The IO thread sleeps in epoll_wait with no timeout: this poke is
+        // what makes it notice the flag.
         [[maybe_unused]] ssize_t rc = ::write(wake_fd_, &n, sizeof(n));
     }
 }
@@ -150,13 +153,7 @@ void TuningServer::wait() {
         dispatch_stop_ = true;
     }
     dispatch_cv_.notify_all();
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        pump_stop_ = true;
-    }
-    pending_cv_.notify_all();
     if (dispatch_thread_.joinable()) dispatch_thread_.join();
-    if (pump_thread_.joinable()) pump_thread_.join();
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
     if (wake_fd_ >= 0) ::close(wake_fd_);
     epoll_fd_ = wake_fd_ = -1;
@@ -178,7 +175,7 @@ void TuningServer::io_loop() {
     std::vector<epoll_event> events(64);
     bool stopping = false;
     while (true) {
-        int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()), 50);
+        int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()), -1);
         if (n < 0) {
             if (errno == EINTR) continue;
             break;
@@ -490,12 +487,13 @@ void TuningServer::dispatch_frame(Connection& conn, const std::string& frame) {
         }
 
         SubmitTask task;
-        task.conn_id = conn.id;
-        task.request_id = req.id;
-        task.tenant = tenant;
+        task.pending = std::make_shared<PendingJob>();
+        task.pending->conn_id = conn.id;
+        task.pending->request_id = req.id;
+        task.pending->tenant = tenant;
+        task.pending->reply = req.params.get_bool("wait", true);
+        task.pending->received_at = Clock::now();
         task.workload = workload_name;
-        task.reply_on_completion = req.params.get_bool("wait", true);
-        task.received_at = Clock::now();
         task.job = config_.default_job;
         task.job.parallel_slots = static_cast<std::size_t>(req.params.get_number(
             "parallel_slots", static_cast<double>(task.job.parallel_slots)));
@@ -513,6 +511,7 @@ void TuningServer::dispatch_frame(Connection& conn, const std::string& frame) {
         task.options.deadline_s = req.params.get_number("deadline_s", 0.0);
         task.options.backend_seed =
             static_cast<std::uint64_t>(req.params.get_number("backend_seed", 0.0));
+        in_flight_.fetch_add(1, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(dispatch_mutex_);
             dispatch_queue_.push_back(std::move(task));
@@ -679,7 +678,6 @@ void TuningServer::drain_outbound() {
         if (it == connections_.end() || it->second.dead) continue;
         Connection& conn = it->second;
         conn.outbox += out.bytes;
-        conn.close_after_flush = conn.close_after_flush || out.close_after;
         flush(conn);
     }
 }
@@ -700,25 +698,11 @@ void TuningServer::begin_stop() {
 }
 
 bool TuningServer::work_done() {
-    // Checked in pipeline order. A task moves dispatch_queue -> dispatch_busy
-    // -> pending -> pump_busy -> outbound, and every handoff overlaps (the
-    // next stage is entered before the previous count drops), so a task in
-    // flight is visible to at least one of these probes.
-    {
-        std::lock_guard<std::mutex> lock(dispatch_mutex_);
-        if (!dispatch_queue_.empty()) return false;
-    }
-    if (dispatch_busy_.load(std::memory_order_acquire) != 0) return false;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        if (!pending_.empty()) return false;
-    }
-    if (pump_busy_.load(std::memory_order_acquire) != 0) return false;
-    {
-        std::lock_guard<std::mutex> lock(outbound_mutex_);
-        if (!outbound_.empty()) return false;
-    }
-    return true;
+    // A submit counts from the IO thread's hand-off until its last reply is
+    // queued (post_outbound with last = true), so zero here means nothing is
+    // queued for dispatch, waiting in the service, or being serialized.
+    std::lock_guard<std::mutex> lock(outbound_mutex_);
+    return in_flight_.load(std::memory_order_relaxed) == 0 && outbound_.empty();
 }
 
 void TuningServer::final_flush(Connection& conn) {
@@ -739,88 +723,56 @@ void TuningServer::dispatch_loop() {
         {
             std::unique_lock<std::mutex> lock(dispatch_mutex_);
             dispatch_cv_.wait(lock, [this] { return dispatch_stop_ || !dispatch_queue_.empty(); });
-            if (dispatch_queue_.empty()) {
-                if (dispatch_stop_) return;
-                continue;
-            }
+            if (dispatch_queue_.empty()) return;  // stopped and drained
             task = std::move(dispatch_queue_.front());
             dispatch_queue_.pop_front();
-            dispatch_busy_.fetch_add(1, std::memory_order_acq_rel);
         }
         run_submit(std::move(task));
-        dispatch_busy_.fetch_sub(1, std::memory_order_acq_rel);
     }
 }
 
 void TuningServer::run_submit(SubmitTask task) {
     const workload::Workload& w = workload::find_workload(task.workload);
-    auto submission = config_.service->submit(w, task.job, task.options);
+    std::shared_ptr<PendingJob> pending = std::move(task.pending);
+    task.options.on_settled = [this, pending] { arrive(*pending); };
+    auto submission = config_.service->submit(w, task.job, std::move(task.options));
     if (!submission.has_value()) {
-        if (config_.tenants != nullptr) config_.tenants->release(task.tenant, false);
+        // Shed: on_settled never runs, so this is the submit's last reply.
+        if (config_.tenants != nullptr) config_.tenants->release(pending->tenant, false);
         {
             std::lock_guard<std::mutex> lock(counters_mutex_);
             ++counters_.rejects;
         }
         if (obs_reject_capacity_ != nullptr) obs_reject_capacity_->inc();
-        post_outbound(task.conn_id,
-                      encode_frame(error_response(task.request_id, status::kRejected,
-                                                  "queue full: job shed by admission control")));
+        post_outbound(pending->conn_id,
+                      encode_frame(error_response(pending->request_id, status::kRejected,
+                                                  "queue full: job shed by admission control")),
+                      /*last=*/true);
         return;
     }
     {
         std::lock_guard<std::mutex> lock(counters_mutex_);
         ++counters_.jobs_submitted;
     }
-    if (!task.reply_on_completion) {
+    if (!pending->reply) {
         util::Json body = util::Json::object();
         body["job_id"] = submission->id;
         body["state"] = "queued";
-        post_outbound(task.conn_id, encode_frame(ok_response(task.request_id, std::move(body))));
+        post_outbound(pending->conn_id,
+                      encode_frame(ok_response(pending->request_id, std::move(body))),
+                      /*last=*/false);
     }
-
-    PendingJob pending;
-    pending.conn_id = task.conn_id;
-    pending.request_id = task.request_id;
-    pending.tenant = task.tenant;
-    pending.job_id = submission->id;
-    pending.result = std::move(submission->result);
-    pending.reply = task.reply_on_completion;
-    pending.received_at = task.received_at;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        pending_.push_back(std::move(pending));
-    }
-    pending_cv_.notify_one();
+    pending->job_id = submission->id;
+    pending->result = std::move(submission->result);
+    arrive(*pending);
 }
 
-// ------------------------------------------------------------ completion pump
+// ------------------------------------------------------------------ settlement
 
-void TuningServer::pump_loop() {
-    using namespace std::chrono_literals;
-    while (true) {
-        std::vector<PendingJob> ready;
-        {
-            std::unique_lock<std::mutex> lock(pending_mutex_);
-            if (pump_stop_) return;
-            for (auto it = pending_.begin(); it != pending_.end();) {
-                if (it->result.wait_for(0s) == std::future_status::ready) {
-                    pump_busy_.fetch_add(1, std::memory_order_acq_rel);
-                    ready.push_back(std::move(*it));
-                    it = pending_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            if (ready.empty()) {
-                pending_cv_.wait_for(lock, 2ms);
-                continue;
-            }
-        }
-        for (auto& job : ready) {
-            settle(job);
-            pump_busy_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-    }
+void TuningServer::arrive(PendingJob& pending) {
+    // acq_rel: the second arrival sees what the first wrote (the dispatch
+    // side's job_id and future, the service's settled future).
+    if (pending.arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) settle(pending);
 }
 
 void TuningServer::settle(PendingJob& pending) {
@@ -833,15 +785,13 @@ void TuningServer::settle(PendingJob& pending) {
         body["job_id"] = pending.job_id;
         body["result"] = job_result_to_json(result);
         response = ok_response(pending.request_id, std::move(body));
+    } catch (const sched::JobDiscarded& e) {
+        // Discarded while queued (fast drain / cancel / queue deadline): not
+        // a server fault. 503 tells the client to resubmit; the journal
+        // record stays pending for `pipetune resume`.
+        response = error_response(pending.request_id, status::kDraining, e.what());
     } catch (const std::exception& e) {
-        // A job discarded while queued (fast drain / cancel) was never a
-        // server fault: report 503 so the client resubmits, and leave its
-        // journal record pending for `pipetune resume`.
-        std::string message = e.what();
-        bool discarded = message.find("cancelled") != std::string::npos ||
-                         message.find("timed-out") != std::string::npos;
-        response = error_response(pending.request_id,
-                                  discarded ? status::kDraining : status::kJobFailed, message);
+        response = error_response(pending.request_id, status::kJobFailed, e.what());
     }
     if (config_.tenants != nullptr) config_.tenants->release(pending.tenant, completed);
     {
@@ -849,16 +799,20 @@ void TuningServer::settle(PendingJob& pending) {
         if (completed) ++counters_.jobs_completed;
     }
     if (obs_submit_latency_ != nullptr) obs_submit_latency_->observe(seconds_since(pending.received_at));
-    if (pending.reply) post_outbound(pending.conn_id, encode_frame(response));
+    post_outbound(pending.conn_id, pending.reply ? encode_frame(response) : std::string(),
+                  /*last=*/true);
 }
 
 // ----------------------------------------------------------------- cross-thread
 
-void TuningServer::post_outbound(std::uint64_t conn_id, std::string bytes, bool close_after) {
-    {
-        std::lock_guard<std::mutex> lock(outbound_mutex_);
-        outbound_.push_back(Outbound{conn_id, std::move(bytes), close_after});
-    }
+void TuningServer::post_outbound(std::uint64_t conn_id, std::string bytes, bool last) {
+    // Everything happens under the lock, the poke included: once the last
+    // submit retires, a stopping IO thread may see zero in work_done(),
+    // return, and the server be destroyed — so no settling thread may touch
+    // `this` after unlocking.
+    std::lock_guard<std::mutex> lock(outbound_mutex_);
+    if (!bytes.empty()) outbound_.push_back(Outbound{conn_id, std::move(bytes)});
+    if (last) in_flight_.fetch_sub(1, std::memory_order_relaxed);
     wake_io();
 }
 

@@ -160,18 +160,24 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
     sched_options.priority = to_sched_priority(options.priority);
     sched_options.deadline_s = options.deadline_s;
 
-    auto promise = std::make_shared<std::promise<core::PipeTuneJobResult>>();
-    auto future = promise->get_future();
+    // Settlement state shared by the job body and its DoneFn. The body only
+    // stores its result; the DoneFn — fired once, after the scheduler has
+    // published the terminal state — is the single place that settles the
+    // promise and then tells the submitter.
+    struct Settlement {
+        std::promise<core::PipeTuneJobResult> promise;
+        std::optional<core::PipeTuneJobResult> result;  ///< set by the body
+    };
+    auto settlement = std::make_shared<Settlement>();
+    auto future = settlement->promise.get_future();
 
     // The job body runs on a scheduler worker slot. Copies of the workload
     // and job config keep it self-contained; shared state is reached only
     // through the locked views. Exceptions PROPAGATE to the scheduler: a
     // transient failure under the service retry policy is requeued (same id,
-    // front of its priority class) instead of resolving the future, so the
-    // promise is settled exactly once — here on success, in on_failed on
-    // terminal failure, or in on_discard when the job never runs.
+    // front of its priority class) instead of reaching the DoneFn.
     ClusterScheduler::JobFn run = [this, workload, job_config,
-                                   promise](JobContext& ctx) mutable {
+                                   settlement](JobContext& ctx) mutable {
         core::PipeTuneConfig pipetune = options_.pipetune;
         pipetune.metrics = &state_.metrics();
         pipetune.obs = options_.obs;
@@ -196,43 +202,47 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
                 .field("probes", result.probes_started)
                 .field("store", result.ground_truth_size)
             << "job " << ctx.id() << " done";
-        promise->set_value(std::move(result));
+        settlement->result = std::move(result);
     };
-    // Discarded without running → the future reports why instead of dangling
-    // as a broken promise.
-    ClusterScheduler::DiscardFn on_discard = [promise](const JobInfo& info) {
-        promise->set_exception(std::make_exception_ptr(std::runtime_error(
-            "pipetune job " + std::to_string(info.id) + " " + to_string(info.state) +
-            " before running")));
-    };
-    // Terminal failure (retries exhausted or non-transient): journal it —
+    // A terminal failure (retries exhausted or non-transient) is journaled —
     // except for a SimulatedCrash, which models process death (a dead
-    // process writes nothing, so recovery re-runs the job) — and forward
-    // the original exception to the future.
-    ClusterScheduler::FailFn on_failed = [this, promise](const JobInfo& info,
-                                                         std::exception_ptr failure) {
-        if (options_.journal != nullptr) {
-            bool journal_failure = true;
-            try {
-                std::rethrow_exception(failure);
-            } catch (const ft::SimulatedCrash&) {
-                journal_failure = false;
-            } catch (...) {
+    // process writes nothing, so recovery re-runs the job) — and forwarded
+    // to the future as the original exception. A job that never produced a
+    // result was discarded before running: the future reports why.
+    ClusterScheduler::DoneFn on_done = [this, settlement,
+                                        on_settled = std::move(options.on_settled)](
+                                           const JobInfo& info, std::exception_ptr failure) {
+        if (failure != nullptr) {
+            if (options_.journal != nullptr) {
+                bool journal_failure = true;
+                try {
+                    std::rethrow_exception(failure);
+                } catch (const ft::SimulatedCrash&) {
+                    journal_failure = false;
+                } catch (...) {
+                }
+                if (journal_failure) {
+                    util::Json payload = util::Json::object();
+                    payload["job_id"] = info.id;
+                    payload["error"] = info.error;
+                    (void)options_.journal->append(ft::record_type::kJobFailed,
+                                                   std::move(payload));
+                }
             }
-            if (journal_failure) {
-                util::Json payload = util::Json::object();
-                payload["job_id"] = info.id;
-                payload["error"] = info.error;
-                (void)options_.journal->append(ft::record_type::kJobFailed,
-                                               std::move(payload));
-            }
+            settlement->promise.set_exception(failure);
+        } else if (settlement->result.has_value()) {
+            settlement->promise.set_value(std::move(*settlement->result));
+        } else {
+            settlement->promise.set_exception(std::make_exception_ptr(
+                JobDiscarded("pipetune job " + std::to_string(info.id) + " " +
+                             to_string(info.state) + " before running")));
         }
-        promise->set_exception(failure);
+        if (on_settled) on_settled();
     };
 
     const std::string job_label = sched_options.label;
-    auto ticket = scheduler_.submit(std::move(run), std::move(sched_options),
-                                    std::move(on_discard), std::move(on_failed));
+    auto ticket =
+        scheduler_.submit(std::move(run), std::move(sched_options), std::move(on_done));
     if (!ticket) return std::nullopt;
     if (options_.journal != nullptr)
         (void)options_.journal->append(

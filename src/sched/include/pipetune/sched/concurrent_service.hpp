@@ -13,20 +13,32 @@
 //   core::PipeTuneJobResult rb = b->result.get();  // may have warm-started from a
 //
 // Futures surface failure as the job's exception; a job discarded before
-// running (cancelled while queued, queue-deadline exceeded, or shed by a
-// full reject-mode queue at submit time) reports a std::runtime_error naming
-// the terminal state. Prefer constructing through
-// sched::make_tuning_service so serial and concurrent deployments share one
-// call site.
+// running (cancelled while queued, queue-deadline exceeded, or dropped by
+// discard_queued) reports a sched::JobDiscarded naming the terminal state.
+// A job shed by a full reject-mode queue is never admitted: submit returns
+// nullopt. Every admitted job's future is settled in one place, the
+// scheduler's DoneFn, after the job shows as terminal in stats() and
+// job_timings(); SubmitOptions::on_settled runs right after. Prefer
+// constructing through sched::make_tuning_service so serial and concurrent
+// deployments share one call site.
 
 #include <future>
 #include <optional>
+#include <stdexcept>
 
 #include "pipetune/core/tuning_service.hpp"
 #include "pipetune/sched/scheduler.hpp"
 #include "pipetune/sched/shared_state.hpp"
 
 namespace pipetune::sched {
+
+/// A job's future carries this when the job was dropped before it ran
+/// (cancelled or timed out while queued, or discarded by discard_queued()):
+/// the job never failed, so a server answers "resubmit" rather than "fault".
+class JobDiscarded : public std::runtime_error {
+public:
+    explicit JobDiscarded(const std::string& what) : std::runtime_error(what) {}
+};
 
 class ConcurrentPipeTuneService final : public core::TuningService {
 public:

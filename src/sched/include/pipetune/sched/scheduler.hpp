@@ -157,8 +157,7 @@ struct Job {
     std::atomic<bool> cancel{false};
     std::atomic<std::uint8_t> claimed{kClaimNone};
     std::function<void(JobContext&)> fn;
-    std::function<void(const JobInfo&)> on_discard;
-    std::function<void(const JobInfo&, std::exception_ptr)> on_failed;
+    std::function<void(const JobInfo&, std::exception_ptr)> on_done;
 };
 
 /// Internal dispatch-queue interface: the lock-light implementation (MPMC
@@ -187,15 +186,16 @@ public:
 class ClusterScheduler {
 public:
     using JobFn = std::function<void(JobContext&)>;
-    /// Invoked (from the discarding thread) when a job is dropped without
-    /// ever running — cancelled while queued or timed out in the queue. Lets
-    /// a caller holding a promise for the job's result break it deliberately.
-    using DiscardFn = std::function<void(const JobInfo&)>;
-    /// Invoked (from the worker thread) when a job fails TERMINALLY — its
-    /// function threw and the retry policy is exhausted or inapplicable. The
-    /// exception_ptr is the original exception, so a promise-holding caller
-    /// can forward it with full fidelity. Not called for retried attempts.
-    using FailFn = std::function<void(const JobInfo&, std::exception_ptr)>;
+    /// Invoked exactly once per admitted job, after its terminal transition
+    /// is published (finish_s stamped; state(), jobs(), stats() and wait()
+    /// all see it) and outside every scheduler lock, on the thread that made
+    /// the transition: a worker (completed, failed, cancelled while running,
+    /// or cancelled/timed out when popped) or the caller of cancel() /
+    /// discard_queued(). The exception_ptr is the job's original exception
+    /// when it failed terminally — retries exhausted or non-transient — and
+    /// null otherwise. Retried attempts do not fire it; a submit that
+    /// returns nullopt never does.
+    using DoneFn = std::function<void(const JobInfo&, std::exception_ptr)>;
 
     explicit ClusterScheduler(SchedulerConfig config = {});
     ~ClusterScheduler();  // drains the queue, then joins the workers
@@ -204,8 +204,7 @@ public:
 
     /// Admit a job. Returns nullopt when the queue rejected it (kReject and
     /// full, or scheduler already shut down).
-    std::optional<JobTicket> submit(JobFn fn, JobOptions options = {},
-                                    DiscardFn on_discard = {}, FailFn on_failed = {});
+    std::optional<JobTicket> submit(JobFn fn, JobOptions options = {}, DoneFn on_done = {});
 
     JobState state(std::uint64_t id) const;
     std::optional<JobInfo> info(std::uint64_t id) const;
@@ -217,7 +216,7 @@ public:
     bool cancel(std::uint64_t id);
 
     /// Discard every job still waiting in the queue (each retires as
-    /// kCancelled through its on_discard). Running jobs are NOT flagged —
+    /// kCancelled through its DoneFn). Running jobs are NOT flagged —
     /// unlike shutdown(false), which cancels them cooperatively — so this is
     /// the graceful-drain primitive: callers discard the queue, then drain()
     /// to let the running remainder finish cleanly. Returns the drop count.
@@ -258,8 +257,8 @@ private:
     const Shard& shard(std::uint64_t id) const { return shards_[id & shard_mask_]; }
 
     void worker_loop();
-    /// Mark a RUNNING job terminal + notify waiters (invoking on_failed for
-    /// kFailed). Caller must hold the job's claim and no shard mutex.
+    /// Mark a RUNNING job terminal, notify waiters, then fire its DoneFn.
+    /// Caller must hold the job's claim and no shard mutex.
     void finish(detail::Job* job, JobState state, const std::string& error = {},
                 std::exception_ptr failure = nullptr);
     /// Count one terminal transition on the obs counters.

@@ -382,8 +382,7 @@ void ClusterScheduler::notify_terminal() {
     terminal_cv_.notify_all();
 }
 
-std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options,
-                                                  DiscardFn on_discard, FailFn on_failed) {
+std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options, DoneFn on_done) {
     if (!fn) throw std::invalid_argument("ClusterScheduler::submit: empty job");
     if (shut_down_.load(std::memory_order_acquire)) return std::nullopt;
     const std::uint64_t id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
@@ -397,8 +396,7 @@ std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options,
     job->info.deadline_s =
         options.deadline_s > 0 ? job->info.submit_s + options.deadline_s : 0.0;
     job->fn = std::move(fn);
-    job->on_discard = std::move(on_discard);
-    job->on_failed = std::move(on_failed);
+    job->on_done = std::move(on_done);
     {
         Shard& sh = shard(id);
         std::lock_guard<std::mutex> lock(sh.mutex);
@@ -417,6 +415,7 @@ std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options,
     // Claiming under the shard lock excludes a concurrent canceller — only
     // the claim winner may erase, and every other claim attempt happens
     // inside a shard critical section, so nobody holds a dangling Job*.
+    bool rolled_back = false;
     {
         Shard& sh = shard(id);
         std::lock_guard<std::mutex> lock(sh.mutex);
@@ -429,12 +428,14 @@ std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options,
             // The optimistic admission above already counted it; the rejected
             // counter is the net signal (submitted_total stays monotone).
             if (obs_rejected_ != nullptr) obs_rejected_->inc();
+            rolled_back = true;
         }
-        // else: a canceller already retired it as kCancelled — its record
-        // stays, stats were adjusted by the canceller.
     }
     gauge_tick();
     notify_terminal();
+    // A canceller that won the claim first retired the job as kCancelled and
+    // fired its DoneFn: the record stays, so hand out its ticket.
+    if (!rolled_back) return JobTicket{id};
     return std::nullopt;
 }
 
@@ -469,7 +470,7 @@ std::vector<JobInfo> ClusterScheduler::jobs() const {
 
 bool ClusterScheduler::cancel(std::uint64_t id) {
     JobInfo discarded;
-    DiscardFn on_discard;
+    DoneFn on_done;
     detail::Job* retired_job = nullptr;
     {
         Shard& sh = shard(id);
@@ -486,7 +487,7 @@ bool ClusterScheduler::cancel(std::uint64_t id) {
             job->info.state = JobState::kCancelled;
             job->info.finish_s = now_s();
             discarded = job->info;
-            on_discard = std::move(job->on_discard);
+            on_done = std::move(job->on_done);
             retired_job = job;
         }
         // else: a worker owns it (running or retiring) — the flag is set and
@@ -499,17 +500,17 @@ bool ClusterScheduler::cancel(std::uint64_t id) {
         gauge_tick();
         queue_->retired(retired_job);
         notify_terminal();
-        if (on_discard) on_discard(discarded);
+        if (on_done) on_done(discarded, nullptr);
     }
     return true;
 }
 
 std::size_t ClusterScheduler::discard_queued() {
-    // Claim under the shard lock, run the callbacks outside every lock (an
-    // on_discard settles a promise, and the waiter may call back into the
+    // Claim under the shard lock, run the callbacks outside every lock (a
+    // DoneFn settles a promise, and the waiter may call back into the
     // scheduler). Jobs a worker claims between scan and CAS stay running —
     // exactly the contract.
-    std::vector<std::pair<JobInfo, DiscardFn>> discarded;
+    std::vector<std::pair<JobInfo, DoneFn>> discarded;
     std::vector<detail::Job*> retired_jobs;
     for (std::size_t s = 0; s <= shard_mask_; ++s) {
         std::lock_guard<std::mutex> lock(shards_[s].mutex);
@@ -523,7 +524,7 @@ std::size_t ClusterScheduler::discard_queued() {
             job->cancel.store(true, std::memory_order_relaxed);
             job->info.state = JobState::kCancelled;
             job->info.finish_s = now_s();
-            discarded.emplace_back(job->info, std::move(job->on_discard));
+            discarded.emplace_back(job->info, std::move(job->on_done));
             retired_jobs.push_back(job);
         }
     }
@@ -536,16 +537,16 @@ std::size_t ClusterScheduler::discard_queued() {
         }
         gauge_tick();
         notify_terminal();
-        for (auto& [info, on_discard] : discarded)
-            if (on_discard) on_discard(info);
+        for (auto& [info, on_done] : discarded)
+            if (on_done) on_done(info, nullptr);
     }
     return discarded.size();
 }
 
 void ClusterScheduler::finish(detail::Job* job, JobState state, const std::string& error,
                               std::exception_ptr failure) {
-    FailFn on_failed;
-    JobInfo failed_info;
+    DoneFn on_done;
+    JobInfo done_info;
     {
         Shard& sh = shard(job->info.id);
         std::lock_guard<std::mutex> lock(sh.mutex);
@@ -553,10 +554,8 @@ void ClusterScheduler::finish(detail::Job* job, JobState state, const std::strin
         info.state = state;
         info.finish_s = now_s();
         info.error = error;
-        if (state == JobState::kFailed && failure != nullptr && job->on_failed) {
-            on_failed = std::move(job->on_failed);
-            failed_info = info;
-        }
+        on_done = std::move(job->on_done);
+        if (on_done) done_info = info;
     }
     running_.fetch_sub(1, std::memory_order_seq_cst);
     switch (state) {
@@ -569,7 +568,7 @@ void ClusterScheduler::finish(detail::Job* job, JobState state, const std::strin
     count_terminal(state);
     gauge_tick();
     notify_terminal();
-    if (on_failed) on_failed(failed_info, failure);
+    if (on_done) on_done(done_info, state == JobState::kFailed ? failure : nullptr);
 }
 
 void ClusterScheduler::worker_loop() {
@@ -585,7 +584,7 @@ void ClusterScheduler::worker_loop() {
         std::size_t attempts = 0;
         std::string label;
         JobInfo discarded;
-        DiscardFn on_discard;
+        DoneFn on_done;
         bool discard = false;
         JobState discard_state = JobState::kCancelled;
         {
@@ -618,7 +617,7 @@ void ClusterScheduler::worker_loop() {
             }
             if (discard) {
                 discarded = info;
-                on_discard = std::move(job->on_discard);
+                on_done = std::move(job->on_done);
             }
         }
         if (discard) {
@@ -630,7 +629,7 @@ void ClusterScheduler::worker_loop() {
             count_terminal(discard_state);
             gauge_tick();
             notify_terminal();
-            if (on_discard) on_discard(discarded);
+            if (on_done) on_done(discarded, nullptr);
             continue;
         }
         queued_.fetch_sub(1, std::memory_order_seq_cst);

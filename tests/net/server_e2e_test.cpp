@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -26,9 +28,10 @@ namespace {
 using namespace pipetune;
 
 // ---------------------------------------------------------------- FakeService
-// A TuningService whose job futures the TEST resolves. Lets the e2e tests
-// hold a tenant's quota slot open (or shed a job) for exactly as long as the
-// assertion needs, with zero timing dependence.
+// A TuningService whose jobs the TEST settles. Lets the e2e tests hold a
+// tenant's quota slot open (or shed a job) for exactly as long as the
+// assertion needs, with zero timing dependence. Honours the on_settled
+// contract: resolve/fail/discard make the future ready, then run the hook.
 class FakeService : public core::TuningService {
 public:
     bool accept = true;          ///< false → submit returns nullopt (queue full)
@@ -39,27 +42,34 @@ public:
                                      core::SubmitOptions options) override {
         (void)workload;
         (void)job_config;
-        (void)options;
         std::lock_guard<std::mutex> lock(mutex_);
         if (!accept) return std::nullopt;
-        promises_.push_back(std::make_unique<std::promise<core::PipeTuneJobResult>>());
+        jobs_.push_back(std::make_unique<Job>());
+        jobs_.back()->on_settled = std::move(options.on_settled);
         Submission submission;
-        submission.id = promises_.size();
-        submission.result = promises_.back()->get_future();
+        submission.id = jobs_.size();
+        submission.result = jobs_.back()->promise.get_future();
         return submission;
     }
     void resolve(std::size_t job_id) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        promises_.at(job_id - 1)->set_value(core::PipeTuneJobResult{});
+        settle(job_id, [](auto& promise) { promise.set_value(core::PipeTuneJobResult{}); });
     }
+    /// A job failure whose message is `message`.
     void fail(std::size_t job_id, const std::string& message) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        promises_.at(job_id - 1)->set_exception(
-            std::make_exception_ptr(std::runtime_error(message)));
+        settle(job_id, [&](auto& promise) {
+            promise.set_exception(std::make_exception_ptr(std::runtime_error(message)));
+        });
+    }
+    /// Dropped before running, as the concurrent service reports it.
+    void discard(std::size_t job_id) {
+        settle(job_id, [&](auto& promise) {
+            promise.set_exception(std::make_exception_ptr(sched::JobDiscarded(
+                "pipetune job " + std::to_string(job_id) + " cancelled before running")));
+        });
     }
     std::size_t submissions() const {
         std::lock_guard<std::mutex> lock(mutex_);
-        return promises_.size();
+        return jobs_.size();
     }
 
     void drain() override {}
@@ -76,8 +86,25 @@ public:
     obs::ObsContext* obs() const override { return nullptr; }
 
 private:
+    struct Job {
+        std::promise<core::PipeTuneJobResult> promise;
+        std::function<void()> on_settled;
+    };
+
+    template <typename Settle>
+    void settle(std::size_t job_id, Settle&& make_ready) {
+        std::function<void()> on_settled;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            Job& job = *jobs_.at(job_id - 1);
+            make_ready(job.promise);
+            on_settled = std::move(job.on_settled);
+        }
+        if (on_settled) on_settled();
+    }
+
     mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<std::promise<core::PipeTuneJobResult>>> promises_;
+    std::vector<std::unique_ptr<Job>> jobs_;
 };
 
 net::Client connect_to(const net::TuningServer& server, double timeout_s = 30.0) {
@@ -182,6 +209,56 @@ TEST(ServerE2eTest, MultiTenantResultsMatchInProcessServiceByteForByte) {
     server.stop(net::DrainMode::kFull);
     EXPECT_FALSE(server.running());
     EXPECT_EQ(server.counters().jobs_completed, kJobs);
+}
+
+// ------------------------------------------------------------------- ordering
+
+TEST(ServerE2eTest, StatusRightAfterEach200ShowsTheJobTerminal) {
+    // The reply is sent from the job's terminal transition; a job the client
+    // has been told is done must never read back as queued or running.
+    sim::SimBackend backend;
+    core::ServiceOptions options;
+    options.concurrency = 2;
+    options.queue_capacity = 16;
+    options.persist_after_each_job = false;
+    sched::ConcurrentPipeTuneService service(backend, options);
+    net::ServerConfig config;
+    config.service = &service;
+    net::TuningServer server(config);
+    ASSERT_TRUE(server.start().ok());
+
+    constexpr std::size_t kClients = 2;
+    constexpr std::size_t kSubmitsPerClient = 25;
+    std::vector<std::thread> clients;
+    std::atomic<std::size_t> checked{0};
+    for (std::size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            net::Client client = connect_to(server, 120.0);
+            for (std::size_t i = 0; i < kSubmitsPerClient; ++i) {
+                util::Json params = util::Json::object();
+                params["workload"] = workload::catalogue()[0].name;
+                params["parallel_slots"] = 1;
+                params["hyperband_resource"] = 1;
+                params["final_epochs"] = 1;
+                params["seed"] = 1000 * c + i;
+                auto reply = client.call(net::method::kSubmit, params);
+                ASSERT_TRUE(reply.ok()) << reply.error();
+                ASSERT_TRUE(reply.value().ok()) << reply.value().error;
+                util::Json status_params = util::Json::object();
+                status_params["job_id"] = reply.value().result.get_number("job_id", 0);
+                auto status = client.call(net::method::kStatus, status_params);
+                ASSERT_TRUE(status.ok()) << status.error();
+                ASSERT_TRUE(status.value().ok()) << status.value().error;
+                EXPECT_GE(status.value().result.get_number("finish_s", -1.0), 0.0);
+                EXPECT_TRUE(status.value().result.get_bool("ok", false));
+                checked.fetch_add(1);
+            }
+        });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(checked.load(), kClients * kSubmitsPerClient);
+    server.stop(net::DrainMode::kFull);
+    EXPECT_EQ(server.counters().jobs_completed, kClients * kSubmitsPerClient);
 }
 
 // ------------------------------------------------------------------ admission
@@ -321,24 +398,32 @@ TEST(ServerE2eTest, DiscardedJobSettlesAs503NotServerFault) {
                            submit_params(workload::catalogue()[0].name, 1));
     });
     // Wait for the job to reach the service, then discard it the way a fast
-    // drain does: its future reports the cancellation.
+    // drain does: its future reports a sched::JobDiscarded.
     while (service.submissions() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    service.fail(1, "pipetune job 1 cancelled before running");
+    service.discard(1);
     auto reply = submitted.get();
     ASSERT_TRUE(reply.ok()) << reply.error();
     EXPECT_EQ(reply.value().status, net::status::kDraining);
     EXPECT_NE(reply.value().error.find("cancelled"), std::string::npos);
 
-    // A genuine job failure, by contrast, is a 500.
-    auto failed = std::async(std::launch::async, [&client] {
-        return client.call(net::method::kSubmit,
-                           submit_params(workload::catalogue()[0].name, 2));
-    });
-    while (service.submissions() == 1) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    service.fail(2, "trial diverged");
-    auto failure = failed.get();
-    ASSERT_TRUE(failure.ok()) << failure.error();
-    EXPECT_EQ(failure.value().status, net::status::kJobFailed);
+    // A genuine job failure, by contrast, is a 500 — even when the job's own
+    // error text happens to say "cancelled" or "timed-out".
+    const std::vector<std::string> failures = {"trial diverged",
+                                               "upstream cancelled the dataset download",
+                                               "metric fetch timed-out"};
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+        auto failed = std::async(std::launch::async, [&client, i] {
+            return client.call(net::method::kSubmit,
+                               submit_params(workload::catalogue()[0].name, 2 + i));
+        });
+        while (service.submissions() == i + 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        service.fail(i + 2, failures[i]);
+        auto failure = failed.get();
+        ASSERT_TRUE(failure.ok()) << failure.error();
+        EXPECT_EQ(failure.value().status, net::status::kJobFailed) << failures[i];
+        EXPECT_EQ(failure.value().error, failures[i]);
+    }
     server.stop();
 }
 

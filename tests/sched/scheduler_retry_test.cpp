@@ -1,6 +1,6 @@
 // Scheduler-level retry tests (DESIGN.md §10): a job that dies of an
 // ft::TransientFailure is requeued under its ORIGINAL id at the front of its
-// priority class; anything else is terminal and lands in the FailFn.
+// priority class; anything else is terminal and lands in the DoneFn.
 
 #include <gtest/gtest.h>
 
@@ -29,10 +29,22 @@ SchedulerConfig retrying_config(std::size_t max_retries, std::size_t workers = 1
 TEST(SchedulerRetry, TransientFailureIsRequeuedUntilSuccess) {
     ClusterScheduler scheduler(retrying_config(3));
     std::atomic<int> attempts{0};
-    auto ticket = scheduler.submit([&](JobContext&) {
-        if (attempts.fetch_add(1) < 2) throw ft::TransientFailure("flaky");
-    });
+    // The DoneFn fires once for the job, not once per attempt: set_value
+    // throws on a second call.
+    std::promise<JobState> done;
+    auto done_future = done.get_future();
+    auto ticket = scheduler.submit(
+        [&](JobContext&) {
+            if (attempts.fetch_add(1) < 2) throw ft::TransientFailure("flaky");
+        },
+        {},
+        [&](const JobInfo& info, std::exception_ptr failure) {
+            EXPECT_EQ(failure, nullptr);
+            done.set_value(info.state);
+        });
     ASSERT_TRUE(ticket);
+    ASSERT_EQ(done_future.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    EXPECT_EQ(done_future.get(), JobState::kCompleted);
     ASSERT_TRUE(scheduler.wait(ticket->id, 10.0));
     EXPECT_EQ(scheduler.state(ticket->id), JobState::kCompleted);
     EXPECT_EQ(attempts.load(), 3);
@@ -48,7 +60,7 @@ TEST(SchedulerRetry, ExhaustedRetriesDeliverTheFailure) {
     ClusterScheduler scheduler(retrying_config(1));
     std::atomic<int> attempts{0};
     // wait() observes the terminal state, which the scheduler publishes
-    // BEFORE delivering the FailFn — so the test must synchronize on the
+    // BEFORE delivering the DoneFn — so the test must synchronize on the
     // callback itself, not on wait() returning.
     std::promise<std::string> delivered;
     auto delivered_future = delivered.get_future();
@@ -57,9 +69,10 @@ TEST(SchedulerRetry, ExhaustedRetriesDeliverTheFailure) {
             attempts.fetch_add(1);
             throw ft::TransientFailure("still flaky");
         },
-        {}, {},
+        {},
         [&](const JobInfo& info, std::exception_ptr failure) {
             EXPECT_EQ(info.state, JobState::kFailed);
+            EXPECT_GE(info.finish_s, 0.0);
             std::string what;
             try {
                 std::rethrow_exception(failure);
@@ -87,7 +100,12 @@ TEST(SchedulerRetry, NonTransientFailureIsNeverRetried) {
             attempts.fetch_add(1);
             throw std::runtime_error("hard failure");
         },
-        {}, {}, [&](const JobInfo&, std::exception_ptr) { failed_delivered.set_value(); });
+        {},
+        [&](const JobInfo& info, std::exception_ptr failure) {
+            EXPECT_EQ(info.state, JobState::kFailed);
+            EXPECT_NE(failure, nullptr);
+            failed_delivered.set_value();
+        });
     ASSERT_TRUE(ticket);
     ASSERT_TRUE(scheduler.wait(ticket->id, 10.0));
     EXPECT_EQ(scheduler.state(ticket->id), JobState::kFailed);

@@ -91,10 +91,12 @@ TEST(ClusterScheduler, DiscardCallbackFiresForQueuedCancel) {
     ASSERT_TRUE(blocker);
     wait_until_running(scheduler, blocker->id);
     std::atomic<bool> discard_fired{false};
-    auto victim = scheduler.submit([](JobContext&) {}, {}, [&](const JobInfo& info) {
-        EXPECT_EQ(info.state, JobState::kCancelled);
-        discard_fired.store(true);
-    });
+    auto victim = scheduler.submit([](JobContext&) {}, {},
+                                   [&](const JobInfo& info, std::exception_ptr failure) {
+                                       EXPECT_EQ(info.state, JobState::kCancelled);
+                                       EXPECT_EQ(failure, nullptr);
+                                       discard_fired.store(true);
+                                   });
     ASSERT_TRUE(victim);
     EXPECT_TRUE(scheduler.cancel(victim->id));
     EXPECT_TRUE(discard_fired.load());
