@@ -49,7 +49,7 @@ util::Json small_job_params() {
 // backlog can never leak into the next measurement.
 struct ServerStack {
     sim::SimBackend backend;
-    std::unique_ptr<core::TuningService> service;
+    std::unique_ptr<sched::ConcurrentPipeTuneService> service;
     std::unique_ptr<net::TuningServer> server;
 
     ServerStack() : backend(sim::SimBackendConfig{.seed = kSeed}) {
@@ -57,7 +57,7 @@ struct ServerStack {
         options.concurrency = kWorkers;
         options.queue_capacity = kQueueCapacity;
         options.reject_when_full = true;  // overload → 429, never a parked queue
-        service = sched::make_tuning_service(backend, options);
+        service = std::make_unique<sched::ConcurrentPipeTuneService>(backend, options);
         net::ServerConfig config;
         config.service = service.get();
         server = std::make_unique<net::TuningServer>(config);

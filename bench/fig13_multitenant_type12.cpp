@@ -14,8 +14,8 @@
 #include "bench_timing.hpp"
 #include "pipetune/cluster/cluster_sim.hpp"
 #include "pipetune/core/experiment.hpp"
-#include "pipetune/core/service.hpp"
 #include "pipetune/core/warm_start.hpp"
+#include "pipetune/sched/concurrent_service.hpp"
 #include "pipetune/sim/sim_backend.hpp"
 #include "pipetune/util/csv.hpp"
 
@@ -137,7 +137,7 @@ int main() {
     std::cout << replay_table.render();
 
     // Telemetry overhead (DESIGN.md §9 budget): the same job stream through
-    // the serial service with an ObsContext attached vs detached. Spans plus
+    // a one-slot service with an ObsContext attached vs detached. Spans plus
     // cached-counter increments must stay under 5%. Machine drift on this
     // scale dwarfs the signal, so the two modes are interleaved one ~20ms
     // job at a time with alternating order — every drift regime taxes both
@@ -145,13 +145,13 @@ int main() {
     obs::ObsContext obs;
     sim::SimBackend backend_off({.seed = 1300});
     sim::SimBackend backend_on({.seed = 1300});
-    core::PipeTuneService service_off(backend_off, {});
+    sched::ConcurrentPipeTuneService service_off(backend_off, {});
     core::ServiceOptions on_options;
     on_options.obs = &obs;
-    core::PipeTuneService service_on(backend_on, on_options);
+    sched::ConcurrentPipeTuneService service_on(backend_on, on_options);
     std::uint64_t off_seed = 9000;
     std::uint64_t on_seed = 9000;
-    const auto run_one = [](core::PipeTuneService& service, const workload::Workload& w,
+    const auto run_one = [](core::TuningService& service, const workload::Workload& w,
                             std::uint64_t seed) {
         hpt::HptJobConfig config;
         config.seed = seed;
@@ -186,7 +186,8 @@ int main() {
     bench::run_scheduler_replay(replay_jobs, scenarios.back().mix, /*worker_slots=*/4,
                                 /*parallel_slots=*/4, /*compress=*/2e-5, 1300, &replay_obs);
     util::Table obs_table({"telemetry", "value"});
-    obs_table.add_row({"overhead (serial, interleaved)", util::Table::num(overhead_pct, 2) + "%"});
+    obs_table.add_row(
+        {"overhead (one slot, interleaved)", util::Table::num(overhead_pct, 2) + "%"});
     obs_table.add_row({"series exported (sched replay)",
                        util::Table::num(replay_obs.metrics().series_count(), 0)});
     obs_table.add_row({"spans recorded (sched replay)",

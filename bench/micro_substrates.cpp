@@ -1,32 +1,16 @@
-// micro_substrates — the before/after gate for the hot-path work (DESIGN.md
-// §12): every optimisation in this repo that claims a speedup is measured
-// here against the implementation it replaced, on the same binary, in the
-// same run. Two substrates carry the claims:
-//
-//   KERNELS    scalar vs AVX2 through tensor::simd::force_isa — blocked GEMM,
-//              im2col conv2d forward, and one full LeNet data-parallel
-//              training epoch. The two ISA paths are bit-identical (the
-//              parity suite asserts exact equality), so this measures pure
-//              throughput, not an accuracy trade.
-//   SCHEDULER  two rows. (a) The dispatch substrate: the legacy mutex+CV
-//              JobQueue vs the MPMC ring under 16 threads (8 submitters, 8
-//              drainers) — the structure swap SchedulerConfig::lock_light
-//              performs, measured where it differs. (b) End-to-end:
-//              ClusterScheduler in coarse vs lock-light mode running trivial
-//              jobs at 16 worker slots — on a single-core host this path is
-//              dominated by per-job costs identical in both modes (job
-//              records, telemetry spans), so the claim there is
-//              no-regression, not speedup.
+// micro_substrates — the before/after gate for the kernel work (DESIGN.md
+// §12): scalar vs AVX2 through tensor::simd::force_isa on the same binary,
+// in the same run — blocked GEMM, im2col conv2d forward, and one full LeNet
+// data-parallel training epoch. The two ISA paths are bit-identical (the
+// parity suite asserts exact equality), so this measures pure throughput,
+// not an accuracy trade.
 //
 // Timing follows the calibrate → warm up → repeat → p50/p99 protocol from
 // bench_timing.hpp. Results land in BENCH_micro.json next to the binary;
-// the gate claims ≥2× epoch throughput and ≥2× scheduler jobs/s.
+// the gate claims ≥2× epoch throughput.
 
-#include <atomic>
 #include <iostream>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -34,10 +18,6 @@
 #include "pipetune/data/synthetic.hpp"
 #include "pipetune/nn/models.hpp"
 #include "pipetune/nn/trainer.hpp"
-#include "pipetune/obs/obs_context.hpp"
-#include "pipetune/sched/job_queue.hpp"
-#include "pipetune/sched/mpmc_ring.hpp"
-#include "pipetune/sched/scheduler.hpp"
 #include "pipetune/tensor/ops.hpp"
 #include "pipetune/tensor/simd.hpp"
 #include "pipetune/util/fs.hpp"
@@ -50,19 +30,12 @@ namespace {
 using namespace pipetune;
 
 constexpr std::size_t kGemmDim = 192;
-constexpr std::size_t kSchedulerSlots = 16;
-constexpr std::size_t kSchedulerJobsPerRep = 2000;
-constexpr std::size_t kSchedulerReps = 9;
-constexpr std::size_t kDispatchPairs = 8;  // 8 submitters + 8 drainers = 16 threads
-constexpr std::size_t kDispatchItemsPerProducer = 20000;
-constexpr std::size_t kDispatchCapacity = 256;
-constexpr std::size_t kDispatchReps = 5;
 
 /// One before/after pair plus its ratio, as it lands in the JSON artifact.
 struct Comparison {
     std::string name;
-    bench::TimingSummary before;  ///< scalar kernels / coarse scheduler
-    bench::TimingSummary after;   ///< AVX2 kernels / lock-light scheduler
+    bench::TimingSummary before;  ///< scalar kernels
+    bench::TimingSummary after;   ///< AVX2 kernels
     // Ratio of per-side minimum repetitions. On a shared (or single-core)
     // host, interference only ever adds time, so min-of-reps is the least
     // biased estimate of intrinsic cost; p50/p99 are still reported so the
@@ -119,109 +92,13 @@ nn::Trainer make_trainer(const data::TrainTestPair& split) {
                        trainer_config);
 }
 
-/// One dispatch-substrate run: kDispatchPairs producer threads race the same
-/// number of consumer threads over one bounded queue until every item has
-/// crossed it. Thread spawn/join is inside the clock but is microseconds
-/// against a run of kDispatchPairs * kDispatchItemsPerProducer crossings.
-template <typename PushFn, typename PopFn>
-void dispatch_run(PushFn push, PopFn pop) {
-    std::atomic<bool> go{false};
-    std::vector<std::thread> threads;
-    threads.reserve(2 * kDispatchPairs);
-    for (std::size_t t = 0; t < kDispatchPairs; ++t)
-        threads.emplace_back([&] {
-            while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-            for (std::size_t i = 0; i < kDispatchItemsPerProducer; ++i) push();
-        });
-    for (std::size_t t = 0; t < kDispatchPairs; ++t)
-        threads.emplace_back([&] {
-            while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-            for (std::size_t i = 0; i < kDispatchItemsPerProducer; ++i) pop();
-        });
-    go.store(true, std::memory_order_release);
-    for (auto& thread : threads) thread.join();
-}
-
-Comparison measure_dispatch() {
-    Comparison result;
-    result.name = "dispatch_16_threads";
-    auto [before, after] = bench::measure_paired(
-        [] {
-            sched::JobQueue<int> queue(kDispatchCapacity, sched::OverflowPolicy::kBlock);
-            dispatch_run([&] { (void)queue.push(1); },
-                         [&] {
-                             std::uint64_t id;
-                             int item;
-                             (void)queue.pop(&id, &item);
-                         });
-        },
-        [] {
-            sched::MpmcRing<int> ring(kDispatchCapacity);
-            dispatch_run(
-                [&] {
-                    while (!ring.try_push(1)) std::this_thread::yield();
-                },
-                [&] {
-                    int item;
-                    while (!ring.try_pop(&item)) std::this_thread::yield();
-                });
-        },
-        kDispatchReps, 1);
-    result.before = before;
-    result.after = after;
-    result.speedup = result.before.min_s / result.after.min_s;
-    return result;
-}
-
-/// Jobs/s through a ClusterScheduler at kSchedulerSlots slots: one batch of
-/// trivial jobs submitted and drained per repetition, workers reused across
-/// repetitions so thread spawn stays out of the clock.
-bench::TimingSummary measure_scheduler(bool lock_light) {
-    obs::ObsContext obs;  // telemetry attached on BOTH sides — gauge-flush
-                          // batching is part of what the gate measures
-    sched::SchedulerConfig config;
-    config.worker_slots = kSchedulerSlots;
-    config.queue_capacity = 2 * kSchedulerJobsPerRep;  // pushes never block
-    config.lock_light = lock_light;
-    config.obs = &obs;
-    sched::ClusterScheduler scheduler(config);
-    std::atomic<std::size_t> executed{0};
-    const auto one_batch = [&] {
-        for (std::size_t i = 0; i < kSchedulerJobsPerRep; ++i)
-            (void)scheduler.submit(
-                [&](sched::JobContext&) { executed.fetch_add(1, std::memory_order_relaxed); });
-        scheduler.drain();
-    };
-    auto summary = bench::measure(one_batch, kSchedulerReps, 1);
-    scheduler.shutdown(true);
-    if (executed.load() != (kSchedulerReps + 1) * kSchedulerJobsPerRep)
-        throw std::runtime_error("scheduler bench lost jobs");
-    return summary;
-}
-
-/// The end-to-end rows cannot be noise-paired the way the kernel and
-/// dispatch rows are: two live 16-worker pools on a small host perturb each
-/// other (the idle pool's wakeups steal cycles from the measured one). So
-/// the two modes run sequentially, each pool torn down before the next
-/// starts, and the ratio is taken at p50 — for a blocking-heavy workload
-/// the median is the stable statistic, min is a lottery over futex timing.
-Comparison measure_scheduler_pair() {
-    Comparison result;
-    result.name = "scheduler_e2e_16_slots";
-    result.before = measure_scheduler(/*lock_light=*/false);
-    result.after = measure_scheduler(/*lock_light=*/true);
-    result.speedup = result.before.p50_s / result.after.p50_s;
-    return result;
-}
-
 std::string ms(double seconds) { return util::Table::num(1e3 * seconds, 3); }
 
 }  // namespace
 
 int main() {
     bench::print_header("BENCH micro",
-                        "hot-path before/after gate: scalar vs AVX2 kernels, coarse vs "
-                        "lock-light scheduler");
+                        "hot-path before/after gate: scalar vs AVX2 kernels");
     const bool has_avx2 = tensor::simd::best_isa() == tensor::simd::Isa::kAvx2;
     std::cout << "host ISA: best=" << tensor::simd::to_string(tensor::simd::best_isa())
               << " active=" << tensor::simd::to_string(tensor::simd::active_isa()) << "\n\n";
@@ -232,7 +109,6 @@ int main() {
     std::vector<bench::Claim> claims;
     util::Table table({"substrate", "before p50 ms", "after p50 ms", "after p99 ms", "speedup"});
 
-    // ---- Kernel substrate: scalar vs AVX2 -------------------------------
     if (has_avx2) {
         util::Rng rng(1);
         const tensor::Tensor a = tensor::Tensor::uniform({kGemmDim, kGemmDim}, rng);
@@ -259,6 +135,7 @@ int main() {
         for (const auto* c : {&gemm, &conv, &epoch})
             table.add_row({c->name, ms(c->before.p50_s), ms(c->after.p50_s),
                            ms(c->after.p99_s), util::Table::num(c->speedup, 2) + "x"});
+        std::cout << table.render() << "\n";
         util::Json kernels = util::Json::object();
         for (const auto* c : {&gemm, &conv, &epoch})
             kernels[c->name] = c->to_json("scalar", "avx2");
@@ -276,55 +153,6 @@ int main() {
         doc["kernels"] = "skipped: host lacks AVX2";
         std::cout << "kernel substrate skipped: host lacks AVX2\n";
     }
-
-    // ---- Scheduler substrate: coarse vs lock-light ----------------------
-    Comparison dispatch = measure_dispatch();
-    const double dispatch_items =
-        static_cast<double>(kDispatchPairs * kDispatchItemsPerProducer);
-    Comparison sched_cmp = measure_scheduler_pair();
-    for (const auto* c : {&dispatch, &sched_cmp})
-        table.add_row({c->name, ms(c->before.p50_s), ms(c->after.p50_s), ms(c->after.p99_s),
-                       util::Table::num(c->speedup, 2) + "x"});
-    std::cout << table.render() << "\n";
-    std::cout << "dispatch substrate (" << 2 * kDispatchPairs << " threads, capacity "
-              << kDispatchCapacity << "): mutex queue "
-              << util::Table::num(dispatch_items / dispatch.before.p50_s, 0)
-              << " jobs/s, MPMC ring "
-              << util::Table::num(dispatch_items / dispatch.after.p50_s, 0) << " jobs/s\n";
-    std::cout << "end-to-end scheduler (" << kSchedulerJobsPerRep << "-job batches, "
-              << kSchedulerSlots << " slots): coarse "
-              << util::Table::num(kSchedulerJobsPerRep * sched_cmp.before.ops_per_s(), 0)
-              << " jobs/s, lock-light "
-              << util::Table::num(kSchedulerJobsPerRep * sched_cmp.after.ops_per_s(), 0)
-              << " jobs/s\n";
-
-    util::Json dispatch_json = dispatch.to_json("mutex_queue", "mpmc_ring");
-    dispatch_json["threads"] = 2 * kDispatchPairs;
-    dispatch_json["capacity"] = kDispatchCapacity;
-    dispatch_json["items_per_run"] = dispatch_items;
-    dispatch_json["mutex_queue_jobs_per_s"] = dispatch_items / dispatch.before.p50_s;
-    dispatch_json["mpmc_ring_jobs_per_s"] = dispatch_items / dispatch.after.p50_s;
-    util::Json sched_json = sched_cmp.to_json("coarse", "lock_light");
-    sched_json["worker_slots"] = kSchedulerSlots;
-    sched_json["jobs_per_batch"] = kSchedulerJobsPerRep;
-    sched_json["coarse_jobs_per_s"] = kSchedulerJobsPerRep * sched_cmp.before.ops_per_s();
-    sched_json["lock_light_jobs_per_s"] = kSchedulerJobsPerRep * sched_cmp.after.ops_per_s();
-    util::Json scheduler = util::Json::object();
-    scheduler["dispatch"] = std::move(dispatch_json);
-    scheduler["end_to_end"] = std::move(sched_json);
-    doc["scheduler"] = std::move(scheduler);
-
-    claims.push_back({"lock-light dispatch beats the mutex queue at 16 threads",
-                      ">= 2x jobs/s", util::Table::num(dispatch.speedup, 2) + "x",
-                      dispatch.speedup >= 2.0});
-    // End-to-end on a single-core host: per-job costs shared by both modes
-    // (job record allocation, telemetry span) dominate, and a mutex that is
-    // never held by a preempted thread is nearly free — so the honest
-    // end-to-end claim is "the lock-light path costs nothing", with the
-    // structural win isolated in the dispatch row above.
-    claims.push_back({"lock-light end-to-end does not regress at 16 slots",
-                      ">= 0.8x jobs/s", util::Table::num(sched_cmp.speedup, 2) + "x",
-                      sched_cmp.speedup >= 0.8});
 
     bench::print_claims(claims);
 

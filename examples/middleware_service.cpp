@@ -1,14 +1,14 @@
-// The middleware deployment view: a PipeTuneService owns one cluster's
-// persistent tuning state (ground truth + metrics database on disk) and
-// serves a stream of HPT jobs, each warm-starting from everything the
-// cluster has learned — including across service restarts.
+// The middleware deployment view: a one-slot ConcurrentPipeTuneService owns
+// one cluster's persistent tuning state (ground truth + metrics database on
+// disk) and serves a stream of HPT jobs, each warm-starting from everything
+// the cluster has learned — including across service restarts.
 //
 //   build/examples/middleware_service
 
 #include <filesystem>
 #include <iostream>
 
-#include "pipetune/core/service.hpp"
+#include "pipetune/sched/concurrent_service.hpp"
 #include "pipetune/sim/sim_backend.hpp"
 #include "pipetune/util/table.hpp"
 
@@ -24,7 +24,7 @@ int main() {
     {
         core::ServiceOptions config;
         config.state_dir = state_dir;
-        core::PipeTuneService service(backend, config);
+        sched::ConcurrentPipeTuneService service(backend, config);
         std::cout << "== Service instance 1 (state dir: " << state_dir << ")\n";
         std::uint64_t seed = 770;
         for (const char* name : {"lenet-mnist", "cnn-news20", "lenet-mnist"}) {
@@ -35,7 +35,7 @@ int main() {
                            std::to_string(result.ground_truth_hits),
                            std::to_string(result.probes_started),
                            util::Table::num(result.baseline.tuning.tuning_duration_s, 0),
-                           std::to_string(service.ground_truth().size())});
+                           std::to_string(service.ground_truth_snapshot().size())});
         }
     }  // service shuts down; state is on disk
 
@@ -44,17 +44,18 @@ int main() {
         core::ServiceOptions config;
         config.state_dir = state_dir;
         sim::SimBackend backend2({.seed = 78});
-        core::PipeTuneService service(backend2, config);
+        sched::ConcurrentPipeTuneService service(backend2, config);
         hpt::HptJobConfig job;
         job.seed = 780;
         const auto result = service.run(workload::find_workload("cnn-news20"), job);
         table.add_row({"4 (restart)", "cnn-news20", std::to_string(result.ground_truth_hits),
                        std::to_string(result.probes_started),
                        util::Table::num(result.baseline.tuning.tuning_duration_s, 0),
-                       std::to_string(service.ground_truth().size())});
+                       std::to_string(service.ground_truth_snapshot().size())});
         std::cout << table.render();
-        std::cout << "\nMetrics recorded: " << service.metrics().total_points()
-                  << " points across " << service.metrics().series_names().size()
+        const auto metrics = service.metrics_snapshot();
+        std::cout << "\nMetrics recorded: " << metrics.total_points()
+                  << " points across " << metrics.series_names().size()
                   << " series (persisted at " << service.metrics_path() << ")\n"
                   << "Repeat jobs hit the warm store — probing is paid once per workload\n"
                      "per cluster, and the knowledge survives restarts.\n";

@@ -1,21 +1,17 @@
 #pragma once
-// TuningService — the one deployment API. Both service implementations
-// (core::PipeTuneService, serial; sched::ConcurrentPipeTuneService, worker
-// threads) implement this interface, so the CLI, the benches and the
-// examples drive a single surface and any caller can switch between them
-// with a factory call (sched::make_tuning_service) and a `concurrency`
-// field:
+// TuningService — the one deployment API, implemented by
+// sched::ConcurrentPipeTuneService (jobs queue behind `concurrency` worker
+// slots; one slot is the paper's serial FIFO deployment). The CLI, the
+// benches and the examples drive this surface, and decorators such as a
+// timing probe can wrap it:
 //
 //   core::ServiceOptions options{.state_dir = dir, .concurrency = 4};
-//   auto service = sched::make_tuning_service(backend, options);
-//   auto submission = service->submit(workload, job_config);
+//   sched::ConcurrentPipeTuneService service(backend, options);
+//   auto submission = service.submit(workload, job_config);
 //   core::PipeTuneJobResult result = submission->result.get();
 //
-// Every option the two services used to spell differently lives in one
-// ServiceOptions struct; fields a serial service cannot honor (priorities,
-// queue bounds) are documented as such instead of living in a second struct.
 // Observability is injected the same way everywhere: an obs::ObsContext
-// pointer in the options, threaded by the services into every layer below
+// pointer in the options, threaded by the service into every layer below
 // (scheduler, runner, policy, metricsdb flushes). Null = telemetry off.
 
 #include <cstdint>
@@ -31,8 +27,7 @@
 
 namespace pipetune::core {
 
-/// Queue class for concurrent services (maps onto sched::Priority). Serial
-/// services run jobs inline and ignore it.
+/// Queue class (maps onto sched::Priority).
 enum class SubmitPriority { kHigh = 0, kNormal = 1, kBatch = 2 };
 const char* to_string(SubmitPriority priority);
 
@@ -40,10 +35,9 @@ const char* to_string(SubmitPriority priority);
 /// SubmitOptions is always valid.
 struct SubmitOptions {
     std::string label;  ///< for traces/spans; defaults to the workload name
-    SubmitPriority priority = SubmitPriority::kNormal;  ///< serial: ignored
-    /// Queueing budget in seconds (0 = none). Concurrent services discard
-    /// jobs still queued past it; serial services run immediately, so it
-    /// never triggers.
+    SubmitPriority priority = SubmitPriority::kNormal;
+    /// Queueing budget in seconds (0 = none): a job still queued past it is
+    /// discarded without running.
     double deadline_s = 0.0;
     /// Backend reseed value recorded verbatim in the journal's job_submitted
     /// payload (services do not interpret it). A driver that reseeds a
@@ -56,31 +50,28 @@ struct SubmitOptions {
     /// Force the job id (0 = service assigns the next one). The resume path
     /// re-runs a pending job UNDER ITS ORIGINAL ID so the journal's eventual
     /// job_completed record marks that job terminal — re-running under a
-    /// fresh id would leave the original pending forever. Serial service
-    /// only; the concurrent scheduler numbers its own tickets.
+    /// fresh id would leave the original pending forever. Later assigned ids
+    /// come after every forced one; forcing an id the service already holds
+    /// makes submit() throw std::invalid_argument.
     std::uint64_t job_id = 0;
     /// Completion hook for callers that must not block on (or poll) the
     /// future. Runs exactly once, on whichever thread settled the job, after
     /// the future is ready and after the job shows as terminal in
-    /// job_timings() and stats(). The serial service runs it before submit()
-    /// returns. Never runs when submit() returns nullopt.
+    /// job_timings() and stats(). Never runs when submit() returns nullopt.
     std::function<void()> on_settled{};
 };
 
-/// Unified service configuration (replaces core::ServiceConfig and
-/// sched::ConcurrentServiceConfig). The factory picks the implementation
-/// from `concurrency`; each implementation reads the subset it honors.
+/// Service configuration.
 struct ServiceOptions {
     /// Directory for ground_truth.json / metrics.json; empty = in-memory.
     std::string state_dir;
     PipeTuneConfig pipetune{};
-    /// Worker slots. <= 1 selects the serial service (jobs run inline on the
-    /// caller's thread, FIFO as in §5.1); > 1 selects the concurrent service
-    /// with that many worker threads (§7.4 multi-tenancy).
+    /// Worker slots (§7.4 multi-tenancy). <= 1 means one slot: jobs run one
+    /// after another in submit order, FIFO as in §5.1.
     std::size_t concurrency = 1;
-    std::size_t queue_capacity = 64;  ///< concurrent only
+    std::size_t queue_capacity = 64;
     /// Full queue at submit: true = shed the job (submit returns nullopt),
-    /// false = block until space. Concurrent only.
+    /// false = block until space.
     bool reject_when_full = false;
     /// Rewrite the state files after every completed job (crash-safe at job
     /// granularity, like the paper's InfluxDB writes).
@@ -97,23 +88,14 @@ struct ServiceOptions {
     /// and threads the journal into each job's PipeTunePolicy for trial,
     /// epoch and ground-truth records. Not owned; may be null.
     ft::Journal* journal = nullptr;
-    /// Retry policy for failed jobs. The serial service retries inline when
-    /// the failure is an ft::TransientFailure; the concurrent service
-    /// requeues the job (same id, original priority and deadline) through
-    /// its scheduler. max_retries = 0 disables retrying.
+    /// Retry policy for jobs that fail with an ft::TransientFailure: the
+    /// scheduler requeues the job (same id, original priority and deadline).
+    /// max_retries = 0 disables retrying.
     ft::RetryPolicy retry{.max_retries = 0};
-    /// Job ids are assigned starting at first_job_id + 1. A resumed service
-    /// sets this to the highest job id in the recovered journal so the
-    /// re-runs' journal records never collide with the original run's ids
-    /// (a collision could mark a still-pending job completed on the NEXT
-    /// recovery). Serial service only; the concurrent scheduler numbers its
-    /// own tickets.
-    std::uint64_t first_job_id = 0;
 };
 
-/// Implementation-independent lifetime counters (the concurrent service maps
-/// sched::SchedulerStats onto this; serial services only ever complete or
-/// fail).
+/// Lifetime job counters (the service maps sched::SchedulerStats onto
+/// this).
 struct ServiceStats {
     std::size_t submitted = 0;
     std::size_t completed = 0;
@@ -147,28 +129,27 @@ public:
         std::future<PipeTuneJobResult> result;
     };
 
-    /// Admit one HPT job. Serial services run it inline and return a ready
-    /// future; concurrent services enqueue it. Returns nullopt only when
-    /// admission control sheds the job (reject_when_full and the queue is
-    /// full, or the service is shutting down). Job failure travels through
-    /// the future as its exception, never through the optional.
+    /// Admit one HPT job; the returned future settles when it finishes.
+    /// Returns nullopt only when admission control sheds the job
+    /// (reject_when_full and the queue is full, or the service is shutting
+    /// down). Job failure travels through the future as its exception, never
+    /// through the optional.
     virtual std::optional<Submission> submit(const workload::Workload& workload,
                                              const hpt::HptJobConfig& job_config = {},
                                              SubmitOptions options = {}) = 0;
 
     /// Blocking convenience: submit + get. Throws if the job was shed or
-    /// failed. This is the call sites' spelling of the old serial submit().
+    /// failed.
     PipeTuneJobResult run(const workload::Workload& workload,
                           const hpt::HptJobConfig& job_config = {}, SubmitOptions options = {});
 
-    /// Block until every admitted job is terminal. No-op for serial services.
+    /// Block until every admitted job is terminal.
     virtual void drain() = 0;
 
     /// Best-effort cancel: a queued job is discarded (its future reports the
-    /// cancellation), a running job gets its cooperative flag set. Serial
-    /// services run jobs inline, so there is never anything to cancel and
-    /// they return false. A cancelled-while-queued job gets NO terminal
-    /// journal record — it stays pending, and `pipetune resume` re-runs it.
+    /// cancellation), a running job gets its cooperative flag set. A
+    /// cancelled-while-queued job gets NO terminal journal record — it stays
+    /// pending, and `pipetune resume` re-runs it.
     virtual bool cancel(std::uint64_t id) {
         (void)id;
         return false;
@@ -208,9 +189,8 @@ public:
     virtual obs::ObsContext* obs() const = 0;
 };
 
-/// job_submitted journal payload for one submission — one schema shared by
-/// both service implementations, so ft::Recovery and the resume CLI read the
-/// same fields either way.
+/// job_submitted journal payload for one submission — the schema ft::Recovery
+/// and the resume CLI read back.
 util::Json journal_submit_payload(std::uint64_t job_id, const std::string& label,
                                   const workload::Workload& workload,
                                   const hpt::HptJobConfig& job_config,

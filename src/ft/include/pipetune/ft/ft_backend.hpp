@@ -75,7 +75,7 @@ public:
     /// The factory builds a fresh inner backend for a given seed; begin_job
     /// tears the previous one down and installs the new one. Trials started
     /// before a begin_job stay valid only as long as their backend — callers
-    /// (serial services, the CLI drivers) begin a job, run it to completion,
+    /// (one-slot services, the CLI drivers) begin a job, run it to completion,
     /// then begin the next.
     using Factory = std::function<std::unique_ptr<workload::Backend>(std::uint64_t seed)>;
 

@@ -4,7 +4,7 @@
 // weight for a cluster-internal service whose real isolation boundary is
 // the deployment, not the crypto. Quotas are the FIRST admission gate: a
 // tenant over its in-flight budget is rejected (429) before its job ever
-// reaches the sched JobQueue, so one greedy tenant cannot monopolize the
+// reaches the scheduler queue, so one greedy tenant cannot monopolize the
 // shared queue capacity that backs global backpressure.
 //
 // Registry with no tenants = open mode: every connection maps onto the

@@ -1,11 +1,11 @@
 #pragma once
 // TuningServer: the network face of core::TuningService (DESIGN.md §11).
 // Two threads. One epoll IO thread owns every socket; submits cross to a
-// dispatch thread that calls TuningService::submit (so a serial service
-// running jobs inline can never wedge the event loop). Nothing polls for
-// completion: each submit carries a SubmitOptions::on_settled hook, and
-// whichever thread settles the job (a scheduler worker, the dispatch thread,
-// or a cancel/discard caller) serializes the reply there and hands the bytes
+// dispatch thread that calls TuningService::submit (submit can block on a
+// full kBlock queue or a journal fsync, and the event loop must not). Nothing
+// polls for completion: each submit carries a SubmitOptions::on_settled
+// hook, and whichever thread settles the job (a scheduler worker, or a
+// cancel/discard caller) serializes the reply there and hands the bytes
 // back to the IO thread through an outbound queue + eventfd wakeup, so
 // connection state is single-threaded by construction.
 //
@@ -21,7 +21,7 @@
 // an eventfd poke.
 //
 // Overload never queues unboundedly: tenant quotas reject first (429),
-// then the service's own JobQueue backpressure rejects (configure the
+// then the scheduler queue's own backpressure rejects (configure the
 // service with reject_when_full = true; a kBlock service merely throttles
 // the dispatch thread instead). Draining (SIGTERM or the `drain` method)
 // answers new submits with 503 while in-flight work finishes; in FAST mode

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 
-#include "pipetune/core/service.hpp"
 #include "pipetune/core/warm_start.hpp"
 #include "pipetune/ft/errors.hpp"
 #include "pipetune/ft/journal.hpp"
@@ -101,7 +100,7 @@ std::string ConcurrentPipeTuneService::metrics_path() const {
 }
 
 void ConcurrentPipeTuneService::persist() const {
-    if (options_.state_dir.empty()) return;
+    if (options_.state_dir.empty() || crashed_.load(std::memory_order_acquire)) return;
     const double start_s = options_.obs ? options_.obs->tracer().now_s() : 0.0;
     state_.save(options_.state_dir);
     if (options_.obs) {
@@ -156,6 +155,7 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
     const workload::Workload& workload, const hpt::HptJobConfig& job_config,
     core::SubmitOptions options) {
     JobOptions sched_options;
+    sched_options.id = options.job_id;
     sched_options.label = options.label.empty() ? workload.name : options.label;
     sched_options.priority = to_sched_priority(options.priority);
     sched_options.deadline_s = options.deadline_s;
@@ -204,30 +204,31 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
             << "job " << ctx.id() << " done";
         settlement->result = std::move(result);
     };
-    // A terminal failure (retries exhausted or non-transient) is journaled —
-    // except for a SimulatedCrash, which models process death (a dead
-    // process writes nothing, so recovery re-runs the job) — and forwarded
-    // to the future as the original exception. A job that never produced a
-    // result was discarded before running: the future reports why.
+    // A terminal failure (retries exhausted or non-transient) is journaled
+    // and forwarded to the future as the original exception. A SimulatedCrash
+    // models process death instead: a dead process writes nothing, neither a
+    // job_failed record nor state files (persist() is off from then on), so
+    // recovery re-runs the job from the journal against the state as of the
+    // last completed job. A job that never produced a result was discarded
+    // before running: the future reports why.
     ClusterScheduler::DoneFn on_done = [this, settlement,
                                         on_settled = std::move(options.on_settled)](
                                            const JobInfo& info, std::exception_ptr failure) {
         if (failure != nullptr) {
-            if (options_.journal != nullptr) {
-                bool journal_failure = true;
-                try {
-                    std::rethrow_exception(failure);
-                } catch (const ft::SimulatedCrash&) {
-                    journal_failure = false;
-                } catch (...) {
-                }
-                if (journal_failure) {
-                    util::Json payload = util::Json::object();
-                    payload["job_id"] = info.id;
-                    payload["error"] = info.error;
-                    (void)options_.journal->append(ft::record_type::kJobFailed,
-                                                   std::move(payload));
-                }
+            bool crashed = false;
+            try {
+                std::rethrow_exception(failure);
+            } catch (const ft::SimulatedCrash&) {
+                crashed = true;
+            } catch (...) {
+            }
+            if (crashed) {
+                crashed_.store(true, std::memory_order_release);
+            } else if (options_.journal != nullptr) {
+                util::Json payload = util::Json::object();
+                payload["job_id"] = info.id;
+                payload["error"] = info.error;
+                (void)options_.journal->append(ft::record_type::kJobFailed, std::move(payload));
             }
             settlement->promise.set_exception(failure);
         } else if (settlement->result.has_value()) {
@@ -250,13 +251,6 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
             core::journal_submit_payload(ticket->id, job_label, workload, job_config,
                                          options));
     return Submission{ticket->id, std::move(future)};
-}
-
-std::unique_ptr<core::TuningService> make_tuning_service(workload::Backend& backend,
-                                                         core::ServiceOptions options) {
-    if (options.concurrency <= 1)
-        return std::make_unique<core::PipeTuneService>(backend, std::move(options));
-    return std::make_unique<ConcurrentPipeTuneService>(backend, std::move(options));
 }
 
 }  // namespace pipetune::sched

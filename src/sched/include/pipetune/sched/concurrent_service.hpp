@@ -1,10 +1,12 @@
 #pragma once
-// ConcurrentPipeTuneService — the multi-tenant implementation of
-// core::TuningService. submit() returns immediately with a future: jobs
-// queue up behind `concurrency` worker slots and run genuinely concurrently
-// against one SharedClusterState, so an early finisher's recorded
-// configurations are visible to every job still probing (the paper's §7.4
-// sharing effect, on real threads instead of virtual time).
+// ConcurrentPipeTuneService — the implementation of core::TuningService.
+// submit() returns immediately with a future: jobs queue FIFO (per priority
+// class) behind `concurrency` worker slots and run against one
+// SharedClusterState, so an early finisher's recorded configurations are
+// visible to every job still probing (the paper's §7.4 sharing effect, on
+// real threads instead of virtual time). A serial deployment is the same
+// service with one slot: jobs then run one after another in submit order,
+// as in §5.1.
 //
 //   sim::SimBackend backend;
 //   sched::ConcurrentPipeTuneService service(backend, {.concurrency = 4});
@@ -18,9 +20,7 @@
 // A job shed by a full reject-mode queue is never admitted: submit returns
 // nullopt. Every admitted job's future is settled in one place, the
 // scheduler's DoneFn, after the job shows as terminal in stats() and
-// job_timings(); SubmitOptions::on_settled runs right after. Prefer
-// constructing through sched::make_tuning_service so serial and concurrent
-// deployments share one call site.
+// job_timings(); SubmitOptions::on_settled runs right after.
 
 #include <future>
 #include <optional>
@@ -44,7 +44,7 @@ class ConcurrentPipeTuneService final : public core::TuningService {
 public:
     /// `options.concurrency` (clamped to >= 1) sets the worker slots; the
     /// warm-start fields seed the shared store when no persisted state is
-    /// found, exactly like the serial service.
+    /// found.
     ConcurrentPipeTuneService(workload::Backend& backend, core::ServiceOptions options = {});
     /// Drains in-flight jobs, persists, joins the workers.
     ~ConcurrentPipeTuneService();
@@ -53,7 +53,9 @@ public:
 
     /// Enqueue one HPT job. Returns nullopt when admission control rejected
     /// it (reject_when_full and the queue is full, or the service is shutting
-    /// down); otherwise the call may block for queue space.
+    /// down); otherwise the call may block for queue space. A forced
+    /// options.job_id the scheduler already holds throws
+    /// std::invalid_argument.
     std::optional<Submission> submit(const workload::Workload& workload,
                                      const hpt::HptJobConfig& job_config = {},
                                      core::SubmitOptions options = {}) override;
@@ -93,7 +95,9 @@ public:
     const ClusterScheduler& scheduler() const { return scheduler_; }
 
     /// Snapshot + atomically rewrite the state files (also runs after every
-    /// job when persist_after_each_job is set).
+    /// job when persist_after_each_job is set, and on destruction). A no-op
+    /// once a job has died of an ft::SimulatedCrash: the modelled process is
+    /// dead, so the files keep the state of the last completed job.
     void persist() const override;
     std::string ground_truth_path() const override;
     std::string metrics_path() const override;
@@ -105,6 +109,7 @@ private:
     SerializedBackend backend_;
     SharedClusterState state_;
     std::atomic<std::size_t> jobs_served_{0};
+    std::atomic<bool> crashed_{false};  ///< a job died of ft::SimulatedCrash
     // Instrument references cached at construction (the obs pattern,
     // DESIGN.md §12): the per-job and per-flush paths must not pay a
     // registry lookup. Null when options_.obs is null.
@@ -114,12 +119,5 @@ private:
     obs::Counter* obs_jobs_served_ = nullptr;
     ClusterScheduler scheduler_;  ///< after state_: jobs reference it
 };
-
-/// Build the implementation `options.concurrency` asks for: <= 1 — the
-/// serial core::PipeTuneService (jobs run inline on the caller's thread);
-/// > 1 — a ConcurrentPipeTuneService with that many worker slots. The
-/// backend must outlive the returned service.
-std::unique_ptr<core::TuningService> make_tuning_service(workload::Backend& backend,
-                                                         core::ServiceOptions options = {});
 
 }  // namespace pipetune::sched

@@ -33,9 +33,6 @@
 //  - counters are plain atomics; queue-depth/running gauges are flushed in
 //    batches; waiter condition variables are only signalled when a waiter
 //    has registered (Dekker-paired atomic waiter counts).
-// SchedulerConfig::lock_light = false swaps in the coarse baseline (global
-// mutex queue, unconditional notifies, per-transition gauge flushes) — kept
-// so bench/micro_substrates can measure the before/after honestly.
 
 #include <array>
 #include <atomic>
@@ -53,10 +50,27 @@
 #include "pipetune/cluster/cluster_sim.hpp"
 #include "pipetune/ft/retry_policy.hpp"
 #include "pipetune/obs/obs_context.hpp"
-#include "pipetune/sched/job_queue.hpp"
 #include "pipetune/util/thread_pool.hpp"
 
 namespace pipetune::sched {
+
+/// Scheduling classes, highest urgency first. Each class is FIFO; a worker
+/// always serves the highest non-empty class, so an interactive request
+/// overtakes queued batch work without starving it.
+enum class Priority { kHigh = 0, kNormal = 1, kBatch = 2 };
+inline constexpr std::size_t kPriorityClasses = 3;
+
+const char* to_string(Priority priority);
+
+/// What submit() does when the queue is full: shed the job (admission
+/// control at the edge) or park the submitting thread until a slot frees
+/// (producer throttling).
+enum class OverflowPolicy { kReject, kBlock };
+
+/// Handle returned on admission; ids are unique per scheduler, never reused.
+struct JobTicket {
+    std::uint64_t id = 0;
+};
 
 enum class JobState { kQueued, kRunning, kCompleted, kFailed, kCancelled, kTimedOut };
 
@@ -86,8 +100,14 @@ private:
 };
 
 struct JobOptions {
+    /// Force the job id (0 = assign the next one). A forced id advances the
+    /// id counter past itself, so later auto ids never collide with it; an id
+    /// the scheduler already holds makes submit() throw std::invalid_argument
+    /// with nothing recorded. The resume path uses this to re-run a journaled
+    /// job under its original id.
+    std::uint64_t id = 0;
     Priority priority = Priority::kNormal;
-    std::string label;       ///< e.g. workload name; lands in the trace
+    std::string label{};     ///< e.g. workload name; lands in the trace
     double deadline_s = 0.0; ///< budget from submit; 0 = none
 };
 
@@ -118,10 +138,6 @@ struct SchedulerConfig {
     /// Telemetry (queue-depth/running gauges, lifecycle counters, queue-wait
     /// histogram, one "job" span per executed job). Not owned; may be null.
     obs::ObsContext* obs = nullptr;
-    /// Default: MPMC-ring dispatch, sharded job table, gated notifies,
-    /// batched gauge flushes (DESIGN.md §12). False restores the coarse
-    /// global-mutex baseline for before/after benchmarking.
-    bool lock_light = true;
 };
 
 struct SchedulerStats {
@@ -160,26 +176,10 @@ struct Job {
     std::function<void(const JobInfo&, std::exception_ptr)> on_done;
 };
 
-/// Internal dispatch-queue interface: the lock-light implementation (MPMC
-/// ring per priority class) and the coarse baseline (legacy JobQueue) both
-/// implement it; ClusterScheduler picks one per SchedulerConfig::lock_light.
-/// pop() returns jobs already claimed for the calling worker.
-class DispatchQueue {
-public:
-    virtual ~DispatchQueue() = default;
-    /// Admit per the overflow policy. False: rejected (kReject) or closed.
-    virtual bool push(Job* job) = 0;
-    /// Requeue at the front of the job's priority class (retry path,
-    /// capacity check bypassed). False when closed.
-    virtual bool push_front(Job* job) = 0;
-    /// Block for the next claimable job. Null: closed and drained.
-    virtual Job* pop() = 0;
-    /// A queued entry was retired out-of-band (cancel claim): release its
-    /// capacity slot. The stale queue entry is skipped by a later pop.
-    virtual void retired(Job* job) = 0;
-    virtual void close() = 0;
-    virtual std::size_t max_depth() const = 0;
-};
+/// The dispatch queue (MPMC ring per priority class plus a retry lane;
+/// defined in scheduler.cpp). pop() returns jobs already claimed for the
+/// calling worker.
+class DispatchQueue;
 
 }  // namespace detail
 
@@ -203,7 +203,8 @@ public:
     ClusterScheduler& operator=(const ClusterScheduler&) = delete;
 
     /// Admit a job. Returns nullopt when the queue rejected it (kReject and
-    /// full, or scheduler already shut down).
+    /// full, or scheduler already shut down). Throws std::invalid_argument for
+    /// an empty job or a forced JobOptions::id the scheduler already holds.
     std::optional<JobTicket> submit(JobFn fn, JobOptions options = {}, DoneFn on_done = {});
 
     JobState state(std::uint64_t id) const;
@@ -245,17 +246,20 @@ public:
 
 private:
     /// Job records, sharded by id so per-job transitions don't contend.
-    /// Coarse mode collapses to one shard (shard_mask_ = 0).
     struct Shard {
         mutable std::mutex mutex;
         std::unordered_map<std::uint64_t, std::unique_ptr<detail::Job>> jobs;
     };
-    static constexpr std::size_t kMaxShards = 8;  // power of two
+    static constexpr std::size_t kShards = 8;  // power of two
     static constexpr std::uint32_t kGaugeFlushInterval = 32;  // power of two
 
-    Shard& shard(std::uint64_t id) { return shards_[id & shard_mask_]; }
-    const Shard& shard(std::uint64_t id) const { return shards_[id & shard_mask_]; }
+    Shard& shard(std::uint64_t id) { return shards_[id & (kShards - 1)]; }
+    const Shard& shard(std::uint64_t id) const { return shards_[id & (kShards - 1)]; }
 
+    /// Insert a new job record under `forced_id`, or the next free auto id
+    /// when it is 0, and return the id. Throws std::invalid_argument (the
+    /// record is dropped) when a forced id is already held.
+    std::uint64_t register_job(std::unique_ptr<detail::Job> owned, std::uint64_t forced_id);
     void worker_loop();
     /// Mark a RUNNING job terminal, notify waiters, then fire its DoneFn.
     /// Caller must hold the job's claim and no shard mutex.
@@ -263,21 +267,18 @@ private:
                 std::exception_ptr failure = nullptr);
     /// Count one terminal transition on the obs counters.
     void count_terminal(JobState state);
-    /// One state transition happened: flush gauges per the batching policy
-    /// (every transition in coarse mode, every kGaugeFlushInterval-th in
-    /// lock-light mode).
+    /// One state transition happened: flush gauges on every
+    /// kGaugeFlushInterval-th transition.
     void gauge_tick();
     /// Force the depth/running gauges to the current counters.
     void flush_gauges() const;
-    /// Wake terminal waiters — gated on the registered-waiter count in
-    /// lock-light mode, unconditional in coarse mode.
+    /// Wake terminal waiters, if any have registered.
     void notify_terminal();
 
     SchedulerConfig config_;
     std::chrono::steady_clock::time_point epoch_;
     std::unique_ptr<detail::DispatchQueue> queue_;
-    std::array<Shard, kMaxShards> shards_;
-    std::uint64_t shard_mask_ = 0;
+    std::array<Shard, kShards> shards_;
 
     // Lifecycle counters. queued_/running_ are seq_cst-updated: drain()'s
     // wakeup protocol Dekker-pairs them with terminal_waiters_.

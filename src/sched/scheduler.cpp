@@ -41,8 +41,6 @@ bool JobContext::deadline_expired() const {
     return deadline_s_ > 0.0 && scheduler_.now_s() > deadline_s_;
 }
 
-namespace {
-
 using detail::Job;
 using detail::kClaimCancel;
 using detail::kClaimNone;
@@ -61,16 +59,16 @@ using detail::kClaimWorker;
 /// ring entries go STALE and are skipped (and drained) by later pops. Rings
 /// are sized 2x the logical capacity to absorb that backlog; a cancel storm
 /// deeper than the slack degrades pushes to yield-retry, never deadlock.
-class LockLightQueue final : public detail::DispatchQueue {
+class detail::DispatchQueue {
 public:
-    LockLightQueue(std::size_t capacity, OverflowPolicy policy)
+    DispatchQueue(std::size_t capacity, OverflowPolicy policy)
         : capacity_(static_cast<std::int64_t>(capacity == 0 ? 1 : capacity)),
           policy_(policy) {
         for (auto& ring : rings_)
             ring = std::make_unique<MpmcRing<Job*>>(2 * static_cast<std::size_t>(capacity_));
     }
 
-    bool push(Job* job) override {
+    bool push(Job* job) {
         const std::size_t cls = static_cast<std::size_t>(job->info.priority);
         for (;;) {
             if (closed_.load(std::memory_order_acquire)) return false;
@@ -94,7 +92,7 @@ public:
         return true;
     }
 
-    bool push_front(Job* job) override {
+    bool push_front(Job* job) {
         if (closed_.load(std::memory_order_acquire)) return false;
         const std::size_t cls = static_cast<std::size_t>(job->info.priority);
         live_.fetch_add(1, std::memory_order_seq_cst);  // retries occupy capacity
@@ -109,7 +107,7 @@ public:
         return true;
     }
 
-    Job* pop() override {
+    Job* pop() {
         for (;;) {
             bool popped_any = false;
             for (std::size_t cls = 0; cls < kPriorityClasses; ++cls) {
@@ -140,19 +138,19 @@ public:
         }
     }
 
-    void retired(Job*) override {
+    void retired(Job*) {
         live_.fetch_sub(1, std::memory_order_seq_cst);
         notify_not_full();
     }
 
-    void close() override {
+    void close() {
         closed_.store(true, std::memory_order_release);
         { std::lock_guard<std::mutex> lock(park_mutex_); }
         not_empty_.notify_all();
         not_full_.notify_all();
     }
 
-    std::size_t max_depth() const override {
+    std::size_t max_depth() const {
         return static_cast<std::size_t>(
             std::max<std::int64_t>(0, max_depth_.load(std::memory_order_relaxed)));
     }
@@ -239,58 +237,11 @@ private:
     std::atomic<int> push_waiters_{0};
 };
 
-/// Coarse baseline: the legacy global-mutex JobQueue, one entry per job.
-/// Claim semantics match the lock-light queue (pop() returns claimed jobs;
-/// cancelled entries are erased eagerly so capacity frees immediately).
-class CoarseQueue final : public detail::DispatchQueue {
-public:
-    CoarseQueue(std::size_t capacity, OverflowPolicy policy) : queue_(capacity, policy) {}
-
-    bool push(Job* job) override {
-        return queue_.push_with_id(job->info.id, job, job->info.priority);
-    }
-
-    bool push_front(Job* job) override {
-        return queue_.push_front_with_id(job->info.id, job, job->info.priority);
-    }
-
-    Job* pop() override {
-        std::uint64_t id = 0;
-        Job* job = nullptr;
-        Priority priority = Priority::kNormal;
-        while (queue_.pop(&id, &job, &priority)) {
-            std::uint8_t expected = kClaimNone;
-            if (job->claimed.compare_exchange_strong(expected, kClaimWorker,
-                                                     std::memory_order_acq_rel))
-                return job;
-            // Lost to a canceller whose erase() raced the pop: skip.
-        }
-        return nullptr;
-    }
-
-    void retired(Job* job) override { queue_.erase(job->info.id); }
-
-    void close() override { queue_.close(); }
-
-    std::size_t max_depth() const override { return queue_.max_depth(); }
-
-private:
-    JobQueue<Job*> queue_;
-};
-
-}  // namespace
-
 ClusterScheduler::ClusterScheduler(SchedulerConfig config)
     : config_(config),
       epoch_(std::chrono::steady_clock::now()),
+      queue_(std::make_unique<detail::DispatchQueue>(config.queue_capacity, config.overflow)),
       pool_(config.worker_slots == 0 ? 1 : config.worker_slots) {
-    if (config_.lock_light) {
-        queue_ = std::make_unique<LockLightQueue>(config_.queue_capacity, config_.overflow);
-        shard_mask_ = kMaxShards - 1;
-    } else {
-        queue_ = std::make_unique<CoarseQueue>(config_.queue_capacity, config_.overflow);
-        shard_mask_ = 0;  // one shard = the legacy global job-table mutex
-    }
     if (config_.obs != nullptr) {
         auto& registry = config_.obs->metrics();
         obs_submitted_ = &registry.counter("pipetune_sched_jobs_submitted_total", {},
@@ -339,10 +290,6 @@ void ClusterScheduler::flush_gauges() const {
 
 void ClusterScheduler::gauge_tick() {
     if (obs_queue_depth_ == nullptr && obs_running_ == nullptr) return;
-    if (!config_.lock_light) {
-        flush_gauges();  // coarse baseline: one gauge write per transition
-        return;
-    }
     // Batched (DESIGN.md §12): gauges are sampling instruments; every
     // kGaugeFlushInterval-th transition refreshes them, and the synchronous
     // readers (stats(), drain(), shutdown()) force a flush for exactness.
@@ -374,8 +321,7 @@ void ClusterScheduler::notify_terminal() {
     // Gated wakeup: waiters registered in terminal_waiters_ (seq_cst) before
     // re-checking their predicate, and this load is seq_cst too, so either we
     // see the registration or the waiter sees the state we just published.
-    if (config_.lock_light && terminal_waiters_.load(std::memory_order_seq_cst) == 0)
-        return;
+    if (terminal_waiters_.load(std::memory_order_seq_cst) == 0) return;
     // Empty lock/unlock: serializes after a waiter that has evaluated its
     // predicate but not yet slept (it holds wait_mutex_ for that window).
     { std::lock_guard<std::mutex> lock(wait_mutex_); }
@@ -385,10 +331,8 @@ void ClusterScheduler::notify_terminal() {
 std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options, DoneFn on_done) {
     if (!fn) throw std::invalid_argument("ClusterScheduler::submit: empty job");
     if (shut_down_.load(std::memory_order_acquire)) return std::nullopt;
-    const std::uint64_t id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
     auto owned = std::make_unique<detail::Job>();
     detail::Job* job = owned.get();
-    job->info.id = id;
     job->info.label = std::move(options.label);
     job->info.priority = options.priority;
     job->info.state = JobState::kQueued;
@@ -397,11 +341,7 @@ std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options, 
         options.deadline_s > 0 ? job->info.submit_s + options.deadline_s : 0.0;
     job->fn = std::move(fn);
     job->on_done = std::move(on_done);
-    {
-        Shard& sh = shard(id);
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        sh.jobs.emplace(id, std::move(owned));
-    }
+    const std::uint64_t id = register_job(std::move(owned), options.id);
     submitted_.fetch_add(1, std::memory_order_relaxed);
     queued_.fetch_add(1, std::memory_order_seq_cst);
     if (obs_submitted_ != nullptr) obs_submitted_->inc();
@@ -439,6 +379,31 @@ std::optional<JobTicket> ClusterScheduler::submit(JobFn fn, JobOptions options, 
     return std::nullopt;
 }
 
+std::uint64_t ClusterScheduler::register_job(std::unique_ptr<detail::Job> owned,
+                                             std::uint64_t forced_id) {
+    if (forced_id != 0) {
+        // Keep later auto ids clear of the forced one.
+        std::uint64_t next = next_job_id_.load(std::memory_order_relaxed);
+        while (next <= forced_id &&
+               !next_job_id_.compare_exchange_weak(next, forced_id + 1,
+                                                   std::memory_order_relaxed)) {
+        }
+    }
+    for (;;) {
+        const std::uint64_t id =
+            forced_id != 0 ? forced_id : next_job_id_.fetch_add(1, std::memory_order_relaxed);
+        owned->info.id = id;
+        Shard& sh = shard(id);
+        std::lock_guard<std::mutex> lock(sh.mutex);
+        // try_emplace leaves `owned` untouched when the key exists.
+        if (sh.jobs.try_emplace(id, std::move(owned)).second) return id;
+        if (forced_id != 0)
+            throw std::invalid_argument("ClusterScheduler::submit: job id " +
+                                        std::to_string(id) + " is already in use");
+        // An auto id lost the race to a concurrent forced one: take the next.
+    }
+}
+
 JobState ClusterScheduler::state(std::uint64_t id) const {
     const Shard& sh = shard(id);
     std::lock_guard<std::mutex> lock(sh.mutex);
@@ -458,10 +423,10 @@ std::optional<JobInfo> ClusterScheduler::info(std::uint64_t id) const {
 
 std::vector<JobInfo> ClusterScheduler::jobs() const {
     std::vector<JobInfo> out;
-    for (std::size_t s = 0; s <= shard_mask_; ++s) {
-        std::lock_guard<std::mutex> lock(shards_[s].mutex);
-        out.reserve(out.size() + shards_[s].jobs.size());
-        for (const auto& [id, job] : shards_[s].jobs) out.push_back(job->info);
+    for (const Shard& sh : shards_) {
+        std::lock_guard<std::mutex> lock(sh.mutex);
+        out.reserve(out.size() + sh.jobs.size());
+        for (const auto& [id, job] : sh.jobs) out.push_back(job->info);
     }
     std::sort(out.begin(), out.end(),
               [](const JobInfo& a, const JobInfo& b) { return a.id < b.id; });
@@ -512,9 +477,9 @@ std::size_t ClusterScheduler::discard_queued() {
     // exactly the contract.
     std::vector<std::pair<JobInfo, DoneFn>> discarded;
     std::vector<detail::Job*> retired_jobs;
-    for (std::size_t s = 0; s <= shard_mask_; ++s) {
-        std::lock_guard<std::mutex> lock(shards_[s].mutex);
-        for (auto& [id, owned] : shards_[s].jobs) {
+    for (Shard& sh : shards_) {
+        std::lock_guard<std::mutex> lock(sh.mutex);
+        for (auto& [id, owned] : sh.jobs) {
             detail::Job* job = owned.get();
             if (job->info.state != JobState::kQueued) continue;
             std::uint8_t expected = kClaimNone;
@@ -632,8 +597,11 @@ void ClusterScheduler::worker_loop() {
             if (on_done) on_done(discarded, nullptr);
             continue;
         }
-        queued_.fetch_sub(1, std::memory_order_seq_cst);
+        // Count the slot before releasing the queue count (and the reverse
+        // on requeue below): drain() waits for both to read zero, so the sum
+        // must never dip below the jobs still to run.
         running_.fetch_add(1, std::memory_order_seq_cst);
+        queued_.fetch_sub(1, std::memory_order_seq_cst);
         gauge_tick();
 
         if (obs_queue_wait_ != nullptr) obs_queue_wait_->observe(queue_wait_s);
@@ -680,8 +648,8 @@ void ClusterScheduler::worker_loop() {
                 std::lock_guard<std::mutex> lock(sh.mutex);
                 job->info.state = JobState::kQueued;
             }
-            running_.fetch_sub(1, std::memory_order_seq_cst);
             queued_.fetch_add(1, std::memory_order_seq_cst);
+            running_.fetch_sub(1, std::memory_order_seq_cst);
             requeued_.fetch_add(1, std::memory_order_relaxed);
             if (obs_requeued_ != nullptr) obs_requeued_->inc();
             gauge_tick();
@@ -769,9 +737,9 @@ void ClusterScheduler::shutdown(bool drain_queue) {
     } else {
         // Discard everything still queued; running jobs get cooperative
         // cancel flags and are waited for (threads are never killed).
-        for (std::size_t s = 0; s <= shard_mask_; ++s) {
-            std::lock_guard<std::mutex> lock(shards_[s].mutex);
-            for (auto& [id, job] : shards_[s].jobs)
+        for (Shard& sh : shards_) {
+            std::lock_guard<std::mutex> lock(sh.mutex);
+            for (auto& [id, job] : sh.jobs)
                 job->cancel.store(true, std::memory_order_relaxed);
         }
         discard_queued();
@@ -801,9 +769,9 @@ SchedulerStats ClusterScheduler::stats() const {
 
 std::vector<cluster::JobRecord> ClusterScheduler::trace() const {
     std::vector<cluster::JobRecord> records;
-    for (std::size_t s = 0; s <= shard_mask_; ++s) {
-        std::lock_guard<std::mutex> lock(shards_[s].mutex);
-        for (const auto& [id, job] : shards_[s].jobs) {
+    for (const Shard& sh : shards_) {
+        std::lock_guard<std::mutex> lock(sh.mutex);
+        for (const auto& [id, job] : sh.jobs) {
             if (job->info.state != JobState::kCompleted) continue;
             cluster::JobRecord record;
             record.index = id;

@@ -16,12 +16,12 @@
 
 #include <unistd.h>
 
-#include "pipetune/core/service.hpp"
 #include "pipetune/ft/fault_injector.hpp"
 #include "pipetune/ft/ft_backend.hpp"
 #include "pipetune/ft/journal.hpp"
 #include "pipetune/ft/recovery.hpp"
 #include "pipetune/obs/obs_context.hpp"
+#include "pipetune/sched/concurrent_service.hpp"
 #include "pipetune/sim/sim_backend.hpp"
 
 namespace pipetune::ft {
@@ -77,6 +77,13 @@ const std::vector<std::string>& campaign_workloads() {
     return names;
 }
 
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
 void expect_same_store(const core::GroundTruth& reference, const core::GroundTruth& resumed) {
     ASSERT_EQ(resumed.size(), reference.size());
     for (std::size_t i = 0; i < reference.entries().size(); ++i) {
@@ -97,7 +104,7 @@ TEST(ResumeE2E, KillAndResumeEndsWithTheSameGroundTruth) {
     // we can aim the crash at the middle of job 2.
     EpochCounter counter;
     ReseedingBackend reference_backend(sim_factory(&counter), 1);
-    core::PipeTuneService reference(reference_backend, {});
+    sched::ConcurrentPipeTuneService reference(reference_backend, {});
     std::vector<std::size_t> epochs_per_job;
     for (std::size_t i = 0; i < campaign_workloads().size(); ++i) {
         const std::uint64_t job_id = i + 1;
@@ -111,7 +118,7 @@ TEST(ResumeE2E, KillAndResumeEndsWithTheSameGroundTruth) {
         epochs_per_job.push_back(counter.count() - before);
     }
     ASSERT_EQ(reference.jobs_served(), 2u);
-    ASSERT_GT(reference.ground_truth().size(), 0u);
+    ASSERT_GT(reference.ground_truth_snapshot().size(), 0u);
     ASSERT_GE(epochs_per_job[1], 1u);
 
     // --- Crashed run: same campaign, journaled, with the "process" dying
@@ -126,7 +133,7 @@ TEST(ResumeE2E, KillAndResumeEndsWithTheSameGroundTruth) {
         Journal journal(journal_path);
         core::ServiceOptions options;
         options.journal = &journal;
-        core::PipeTuneService crashed(crashed_backend, options);
+        sched::ConcurrentPipeTuneService crashed(crashed_backend, options);
         for (std::size_t i = 0; i < campaign_workloads().size(); ++i) {
             const std::uint64_t job_id = i + 1;
             const std::uint64_t derived = ReseedingBackend::job_seed(kBaseSeed, job_id);
@@ -164,8 +171,7 @@ TEST(ResumeE2E, KillAndResumeEndsWithTheSameGroundTruth) {
     Journal extended(journal_path);  // the resumed run extends the journal
     core::ServiceOptions resume_options;
     resume_options.journal = &extended;
-    resume_options.first_job_id = 2;  // keep fresh ids clear of journal ids
-    core::PipeTuneService resumed(resumed_backend, resume_options);
+    sched::ConcurrentPipeTuneService resumed(resumed_backend, resume_options);
     resumed.seed_ground_truth(seed_entries);
     for (const RecoveredJob& job : pending) {
         core::SubmitOptions options = core::submit_options_from_journal(job.submit);
@@ -177,13 +183,51 @@ TEST(ResumeE2E, KillAndResumeEndsWithTheSameGroundTruth) {
     }
 
     // The acceptance property: byte-for-byte the same learned state.
-    expect_same_store(reference.ground_truth(), resumed.ground_truth());
+    expect_same_store(reference.ground_truth_snapshot(), resumed.ground_truth_snapshot());
 
     // And resume converged: a second recovery finds nothing to do.
     auto reanalyzed = Recovery::analyze(journal_path);
     ASSERT_TRUE(reanalyzed.ok());
     EXPECT_TRUE(reanalyzed.value().pending_jobs().empty());
     EXPECT_EQ(reanalyzed.value().completed_count(), 2u);
+}
+
+// A crash is process death: the state files must keep the state of the last
+// completed job, not the crashed job's partial probes (resume would otherwise
+// start from state the uninterrupted run never had).
+TEST(ResumeE2E, CrashLeavesTheStateFilesAtTheLastCompletedJob) {
+    TempDir tmp;
+    const auto& lenet = workload::find_workload("lenet-mnist");
+    const auto& cnn = workload::find_workload("cnn-news20");
+    // The same two jobs uninterrupted, counting each one's epochs.
+    EpochCounter counter;
+    sim::SimBackend counting({.seed = kBaseSeed, .epoch_observer = &counter});
+    std::size_t first_epochs = 0;
+    {
+        sched::ConcurrentPipeTuneService reference(counting, {});
+        (void)reference.run(lenet, quick_job(1));
+        first_epochs = counter.count();
+        (void)reference.run(cnn, quick_job(2));
+    }
+    const std::size_t second_epochs = counter.count() - first_epochs;
+    ASSERT_GE(second_epochs, 4u);
+
+    const std::string state_dir = tmp.file("state");
+    // Job 1 completes; job 2 dies three quarters of the way through.
+    FaultInjector crasher({.crash_after_epochs = first_epochs + 3 * second_epochs / 4});
+    sim::SimBackend backend({.seed = kBaseSeed, .epoch_observer = &crasher});
+    std::string after_first;
+    {
+        sched::ConcurrentPipeTuneService service(backend, {.state_dir = state_dir});
+        (void)service.run(lenet, quick_job(1));
+        after_first = slurp(service.ground_truth_path());
+        const std::size_t size_after_first = service.ground_truth_snapshot().size();
+        EXPECT_THROW((void)service.run(cnn, quick_job(2)), SimulatedCrash);
+        // The crashed job did learn something in memory before it died ...
+        ASSERT_GT(service.ground_truth_snapshot().size(), size_after_first);
+        service.persist();  // ... but a dead process writes nothing,
+    }                       // and neither does the shutdown.
+    EXPECT_EQ(slurp(state_dir + "/ground_truth.json"), after_first);
 }
 
 TEST(ResumeE2E, FaultInjectedCampaignCompletesViaRetries) {
@@ -199,7 +243,7 @@ TEST(ResumeE2E, FaultInjectedCampaignCompletesViaRetries) {
     core::ServiceOptions options;
     options.obs = &obs;
     options.journal = &journal;
-    core::PipeTuneService service(backend, options);
+    sched::ConcurrentPipeTuneService service(backend, options);
 
     const std::vector<std::string> jobs{"lenet-mnist", "jacobi-rodinia", "bfs-rodinia"};
     for (std::size_t i = 0; i < jobs.size(); ++i)

@@ -1,5 +1,5 @@
 // TenantRegistry: bearer-token auth + per-tenant in-flight quotas — the
-// FIRST admission gate (DESIGN.md §11), ahead of the JobQueue's global
+// FIRST admission gate (DESIGN.md §11), ahead of the scheduler queue's global
 // backpressure.
 
 #include <gtest/gtest.h>

@@ -26,7 +26,7 @@ struct LiveServer {
         options.concurrency = 2;
         options.queue_capacity = queue_capacity;
         options.reject_when_full = true;
-        service = sched::make_tuning_service(backend, options);
+        service = std::make_unique<sched::ConcurrentPipeTuneService>(backend, options);
         net::ServerConfig config;
         config.service = service.get();
         config.default_job.hyperband_resource = 3;

@@ -143,18 +143,18 @@ TEST(ServerE2eTest, MultiTenantResultsMatchInProcessServiceByteForByte) {
     const std::vector<std::string> workloads = {workload::catalogue()[0].name,
                                                 workload::catalogue()[1].name};
 
-    // Network side: serial service (deterministic inline execution) behind
-    // the server, three authenticated tenants.
+    // Network side: a one-slot service behind the server (jobs run one at a
+    // time, in submit order), three authenticated tenants.
     sim::SimBackendConfig backend_config;
     backend_config.seed = kBackendSeed;
     sim::SimBackend net_backend(backend_config);
     core::ServiceOptions options;
     options.concurrency = 1;
-    auto net_service = sched::make_tuning_service(net_backend, options);
+    sched::ConcurrentPipeTuneService net_service(net_backend, options);
     net::TenantRegistry registry(std::vector<net::TenantConfig>{
         {"alice", "tok-alice", 0}, {"bob", "tok-bob", 0}, {"carol", "tok-carol", 0}});
     net::ServerConfig config;
-    config.service = net_service.get();
+    config.service = &net_service;
     config.tenants = &registry;
     net::TuningServer server(config);
     auto started = server.start();
@@ -176,14 +176,14 @@ TEST(ServerE2eTest, MultiTenantResultsMatchInProcessServiceByteForByte) {
         wire_results.push_back(reply.value().result.at("result").dump());
     }
 
-    // In-process reference: fresh backend with the SAME seed, same serial
+    // In-process reference: fresh backend with the SAME seed, same one-slot
     // service, same submission sequence — shared ground truth and all.
     sim::SimBackend ref_backend(backend_config);
-    auto ref_service = sched::make_tuning_service(ref_backend, core::ServiceOptions{});
+    sched::ConcurrentPipeTuneService ref_service(ref_backend, core::ServiceOptions{});
     for (std::size_t i = 0; i < kJobs; ++i) {
         const workload::Workload& w =
             workload::find_workload(workloads[i % workloads.size()]);
-        core::PipeTuneJobResult ref = ref_service->run(w, reference_job(100 + i));
+        core::PipeTuneJobResult ref = ref_service.run(w, reference_job(100 + i));
         EXPECT_EQ(wire_results[i], net::job_result_to_json(ref).dump())
             << "job " << (i + 1) << " diverged from the in-process reference";
     }
@@ -329,7 +329,7 @@ TEST(ServerE2eTest, TenantOverQuotaGets429UntilAJobSettles) {
 
 TEST(ServerE2eTest, FullQueueGets429FromServiceBackpressure) {
     FakeService service;
-    service.accept = false;  // every submit is shed, as a full JobQueue would
+    service.accept = false;  // every submit is shed, as a full scheduler queue would
     net::ServerConfig config;
     config.service = &service;
     net::TuningServer server(config);
@@ -453,9 +453,9 @@ TEST(ServerE2eTest, DrainRpcFinishesAdmittedWorkThenStops) {
     options.concurrency = 2;
     options.queue_capacity = 8;
     options.reject_when_full = true;
-    auto service = sched::make_tuning_service(backend, options);
+    sched::ConcurrentPipeTuneService service(backend, options);
     net::ServerConfig config;
-    config.service = service.get();
+    config.service = &service;
     net::TuningServer server(config);
     ASSERT_TRUE(server.start().ok());
     const std::uint16_t port = server.port();
@@ -479,7 +479,7 @@ TEST(ServerE2eTest, DrainRpcFinishesAdmittedWorkThenStops) {
     EXPECT_EQ(server.counters().jobs_completed, 3u);
     // The listener is gone: new connections are refused.
     EXPECT_FALSE(net::Client::connect("127.0.0.1", port, 2.0).ok());
-    service->drain();
+    service.drain();
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ struct LiveServer {
         options.concurrency = 2;
         options.queue_capacity = 8;
         options.reject_when_full = true;
-        service = sched::make_tuning_service(backend, options);
+        service = std::make_unique<sched::ConcurrentPipeTuneService>(backend, options);
         net::ServerConfig config;
         config.service = service.get();
         config.max_frame_bytes = max_frame_bytes;

@@ -134,9 +134,9 @@ TEST(ServerShutdownTest, FastStopAnswersEveryClientAndOutlivesNoCallback) {
 
 TEST(ServerShutdownTest, IdleStopFromAnotherThreadReturnsPromptly) {
     sim::SimBackend backend;
-    auto service = sched::make_tuning_service(backend, core::ServiceOptions{});
+    sched::ConcurrentPipeTuneService service(backend, core::ServiceOptions{});
     net::ServerConfig config;
-    config.service = service.get();
+    config.service = &service;
     net::TuningServer server(config);
     ASSERT_TRUE(server.start().ok());
     std::this_thread::sleep_for(50ms);  // let the IO thread park in epoll_wait

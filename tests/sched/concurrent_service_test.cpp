@@ -138,5 +138,45 @@ TEST(ConcurrentPipeTuneService, DiscardedJobSurfacesAsFutureError) {
     EXPECT_EQ(service.jobs_served(), 1u);
 }
 
+TEST(ConcurrentPipeTuneService, OneSlotMetricsAccumulateAcrossJobs) {
+    sim::SimBackend backend({.seed = 6});
+    ConcurrentPipeTuneService service(backend, {});  // no state dir: in memory
+    (void)service.run(workload::find_workload("jacobi-rodinia"), quick_job(8));
+    const auto after_first = service.metrics_snapshot().total_points();
+    EXPECT_GT(after_first, 0u);
+    (void)service.run(workload::find_workload("bfs-rodinia"), quick_job(9));
+    EXPECT_GT(service.metrics_snapshot().total_points(), after_first);
+    EXPECT_TRUE(service.ground_truth_path().empty());
+}
+
+TEST(ConcurrentPipeTuneService, OneSlotWarmStartCampaignRunsWhenStoreIsCold) {
+    sim::SimBackend backend({.seed = 4});
+    core::ServiceOptions options;
+    options.warm_start_on_first_use = true;
+    options.warm_start_workloads = {workload::find_workload("lenet-mnist")};
+    ConcurrentPipeTuneService service(backend, options);
+    EXPECT_GT(service.ground_truth_snapshot().size(), 0u);
+    const auto result = service.run(workload::find_workload("lenet-mnist"), quick_job(6));
+    EXPECT_GT(result.ground_truth_hits, 0u);
+}
+
+TEST(ConcurrentPipeTuneService, OneSlotPersistedStoreSkipsWarmStart) {
+    TempDir dir;
+    sim::SimBackend backend({.seed = 5});
+    std::size_t persisted_size = 0;
+    {
+        ConcurrentPipeTuneService service(backend, {.state_dir = dir.path.string()});
+        (void)service.run(workload::find_workload("lenet-mnist"), quick_job(7));
+        persisted_size = service.ground_truth_snapshot().size();
+        EXPECT_GT(persisted_size, 0u);
+    }
+    core::ServiceOptions options;
+    options.state_dir = dir.path.string();
+    options.warm_start_on_first_use = true;  // must be ignored: the store exists
+    options.warm_start_workloads = workload::workloads_of_type(workload::WorkloadType::kType1);
+    ConcurrentPipeTuneService service(backend, options);
+    EXPECT_EQ(service.ground_truth_snapshot().size(), persisted_size);
+}
+
 }  // namespace
 }  // namespace pipetune::sched

@@ -1,11 +1,10 @@
-// Observability through the tuning services: scheduler gauges/counters under
-// concurrent load, span coverage per job, and the make_tuning_service factory.
+// Observability through the tuning service: scheduler gauges/counters under
+// concurrent load and span coverage per job.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "pipetune/core/service.hpp"
 #include "pipetune/sched/concurrent_service.hpp"
 #include "pipetune/sim/sim_backend.hpp"
 
@@ -92,47 +91,6 @@ TEST(ServiceObs, EveryJobGetsASpanTree) {
             ASSERT_NE(parent, spans.end());
             EXPECT_EQ(parent->name, "job");
         }
-}
-
-TEST(ServiceObs, SerialServiceFeedsTheSameRegistry) {
-    obs::ObsContext obs;
-    sim::SimBackend backend({.seed = 33});
-    core::ServiceOptions options;
-    options.obs = &obs;
-    core::PipeTuneService service(backend, options);
-    service.run(workload::find_workload("lenet-mnist"), quick_job(300));
-    EXPECT_EQ(obs.metrics().counter("pipetune_service_jobs_served_total").value(), 1u);
-    EXPECT_GT(obs.metrics().counter("pipetune_hpt_trials_started_total").value(), 0u);
-    const auto spans = obs.tracer().completed();
-    EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
-                            [](const obs::SpanRecord& s) { return s.name == "job"; }));
-}
-
-TEST(ServiceObs, FactoryPicksImplementationByConcurrency) {
-    sim::SimBackend backend({.seed = 34});
-    {
-        const auto serial = make_tuning_service(backend, {});
-        EXPECT_NE(dynamic_cast<core::PipeTuneService*>(serial.get()), nullptr);
-        const auto result =
-            serial->run(workload::find_workload("lenet-mnist"), quick_job(400));
-        EXPECT_GT(result.baseline.final_accuracy, 0.0);
-        EXPECT_EQ(serial->jobs_served(), 1u);
-        EXPECT_EQ(serial->stats().completed, 1u);
-    }
-    {
-        core::ServiceOptions options;
-        options.concurrency = 2;
-        const auto concurrent = make_tuning_service(backend, options);
-        EXPECT_NE(dynamic_cast<ConcurrentPipeTuneService*>(concurrent.get()), nullptr);
-        const auto result =
-            concurrent->run(workload::find_workload("lenet-mnist"), quick_job(401));
-        EXPECT_GT(result.baseline.final_accuracy, 0.0);
-        concurrent->drain();
-        EXPECT_EQ(concurrent->jobs_served(), 1u);
-        const auto timings = concurrent->job_timings();
-        ASSERT_EQ(timings.size(), 1u);
-        EXPECT_TRUE(timings[0].ok);
-    }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Exactly-once completion hooks: the scheduler's DoneFn and the services'
+// Exactly-once completion hooks: the scheduler's DoneFn and the service's
 // SubmitOptions::on_settled fire once per admitted job on every terminal
 // path — completed, failed, retried-then-completed, cancelled or timed out
 // while queued, discard_queued, cancelled while running — only after the job
@@ -15,7 +15,6 @@
 #include <string>
 #include <thread>
 
-#include "pipetune/core/service.hpp"
 #include "pipetune/ft/errors.hpp"
 #include "pipetune/sched/concurrent_service.hpp"
 #include "pipetune/sim/sim_backend.hpp"
@@ -312,39 +311,6 @@ TEST(SettleCallback, ConcurrentShedSubmitNeverFires) {
     EXPECT_EQ(running.calls.load(), 1);
     EXPECT_EQ(queued.calls.load(), 1);
     EXPECT_EQ(shed.calls.load(), 0);
-}
-
-// ----------------------------------------------------------- serial service
-
-TEST(SettleCallback, SerialPathsFireOnceBeforeSubmitReturns) {
-    ScriptedBackend backend;
-    core::ServiceOptions options;
-    options.retry.max_retries = 3;
-    core::PipeTuneService service(backend, options);
-
-    Hook completed;
-    auto ok = service.submit(lenet(), tiny_job(), completed.options(service, "completed"));
-    ASSERT_TRUE(ok);
-    EXPECT_EQ(completed.calls.load(), 1);
-    EXPECT_NO_THROW(ok->result.get());
-
-    backend.fail_hard(1);
-    Hook hard;
-    auto failed = service.submit(lenet(), tiny_job(), hard.options(service, "hard"));
-    ASSERT_TRUE(failed);
-    EXPECT_EQ(hard.calls.load(), 1);
-    expect_throws<std::runtime_error>(failed->result);
-
-    backend.fail_transient(2);
-    Hook flaky;
-    auto retried = service.submit(lenet(), tiny_job(), flaky.options(service, "flaky"));
-    ASSERT_TRUE(retried);
-    EXPECT_EQ(flaky.calls.load(), 1);
-    EXPECT_NO_THROW(retried->result.get());
-
-    for (const Hook* h : {&completed, &hard, &flaky}) EXPECT_TRUE(h->terminal_before.load());
-    EXPECT_EQ(service.stats().completed, 2u);
-    EXPECT_EQ(service.stats().failed, 1u);
 }
 
 // ----------------------------------------------------------------- scheduler

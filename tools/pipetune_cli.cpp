@@ -36,7 +36,6 @@
 
 #include "pipetune/cluster/cluster_sim.hpp"
 #include "pipetune/core/experiment.hpp"
-#include "pipetune/core/service.hpp"
 #include "pipetune/core/warm_start.hpp"
 #include "pipetune/ft/errors.hpp"
 #include "pipetune/ft/fault_injector.hpp"
@@ -353,7 +352,7 @@ int cmd_tune(const util::Args& args) {
                 return make_backend(args, job_seed, observer);
             },
             seed);
-        // The serial service numbers jobs from 1; this run submits exactly one.
+        // The service numbers jobs from 1; this run submits exactly one.
         derived_seed = ft::ReseedingBackend::job_seed(seed, 1);
         reseeding->begin_job(derived_seed);
         base = reseeding.get();
@@ -370,12 +369,12 @@ int cmd_tune(const util::Args& args) {
         service_options.pipetune.probe_objective = core::PipeTuneConfig::ProbeObjective::kEnergy;
     service_options.obs = obs_outputs.get();
     service_options.journal = ft_setup.journal.get();
-    const auto service = sched::make_tuning_service(active, service_options);
+    sched::ConcurrentPipeTuneService service(active, service_options);
     core::SubmitOptions submit_options;
     submit_options.backend_seed = derived_seed;
     core::PipeTuneJobResult result;
     try {
-        result = service->run(workload, job, submit_options);
+        result = service.run(workload, job, submit_options);
     } catch (const ft::SimulatedCrash& crash) {
         if (g_signal.load(std::memory_order_relaxed) == 0) throw;  // --crash-after path
         std::cout << "interrupted (" << crash.what() << ")\n";
@@ -402,7 +401,7 @@ int cmd_tune(const util::Args& args) {
     std::cout << "ground truth: " << result.ground_truth_hits << " hits, "
               << result.probes_started << " probes, store size " << result.ground_truth_size
               << "\n";
-    if (!service->ground_truth_path().empty())
+    if (!service.ground_truth_path().empty())
         std::cout << "state persisted under " << args.get_or("state-dir", "") << "\n";
     ft_setup.report();
     obs_outputs.write();
@@ -485,9 +484,7 @@ int cmd_replay(const util::Args& args) {
     // Injected faults are mostly absorbed by the epoch-level retry decorator;
     // give the scheduler a job-level retry budget for the ones that escape.
     if (ft_setup.injector) options.retry.max_retries = 3;
-    // One interface for both shapes: --workers 1 gets the in-process serial
-    // service, anything above gets the concurrent scheduler.
-    const auto service = sched::make_tuning_service(active, options);
+    sched::ConcurrentPipeTuneService service(active, options);
     const double compress = args.get_number_or("compress", 2e-5);
 
     struct Pending {
@@ -503,8 +500,8 @@ int cmd_replay(const util::Args& args) {
         prev_arrival_s = job.arrival_s;
         if (gap_s > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(gap_s));
         auto submission =
-            service->submit(job.workload, job_config(args, ++job_seed),
-                            {.label = job.workload.name, .backend_seed = seed});
+            service.submit(job.workload, job_config(args, ++job_seed),
+                           {.label = job.workload.name, .backend_seed = seed});
         if (!submission.has_value()) {
             std::cerr << "job " << job.index << " (" << job.workload.name << ") rejected\n";
             continue;
@@ -527,10 +524,8 @@ int cmd_replay(const util::Args& args) {
         }
         outcomes.emplace_back(hits, probes);
     }
-    service->drain();  // futures resolve inside the job fn; wait for terminal states
-
     std::map<std::uint64_t, core::JobTiming> timings;
-    for (auto& timing : service->job_timings()) timings[timing.id] = std::move(timing);
+    for (auto& timing : service.job_timings()) timings[timing.id] = std::move(timing);
     util::Table table({"job", "workload", "unseen", "state", "response [s]", "GT hits",
                        "probes"});
     for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -547,27 +542,22 @@ int cmd_replay(const util::Args& args) {
     }
     std::cout << table.render();
 
-    const auto stats = service->stats();
+    const auto stats = service.stats();
     util::Table summary({"metric", "value"});
     summary.add_row({"jobs completed", std::to_string(stats.completed)});
     summary.add_row({"jobs failed", std::to_string(stats.failed)});
     summary.add_row({"max queue depth", std::to_string(stats.max_queue_depth)});
     summary.add_row({"ground-truth hits (total)", std::to_string(total_hits)});
-    summary.add_row({"store entries", std::to_string(service->ground_truth_snapshot().size())});
+    summary.add_row({"store entries", std::to_string(service.ground_truth_snapshot().size())});
     summary.add_row(
-        {"metric points", std::to_string(service->metrics_snapshot().total_points())});
-    // The node-level trace summary needs the scheduler's per-slot trace; only
-    // the concurrent implementation has one.
-    if (const auto* concurrent =
-            dynamic_cast<const sched::ConcurrentPipeTuneService*>(service.get())) {
-        const auto trace = concurrent->trace();
-        if (!trace.empty()) {
-            const auto trace_stats = cluster::summarize_trace(trace, options.concurrency);
-            summary.add_row({"p50 response [s]", util::Table::num(trace_stats.p50_response_s, 3)});
-            summary.add_row({"p95 response [s]", util::Table::num(trace_stats.p95_response_s, 3)});
-            summary.add_row({"makespan [s]", util::Table::num(trace_stats.makespan_s, 3)});
-            summary.add_row({"utilization", util::Table::num(trace_stats.utilization, 2)});
-        }
+        {"metric points", std::to_string(service.metrics_snapshot().total_points())});
+    const auto trace = service.trace();
+    if (!trace.empty()) {
+        const auto trace_stats = cluster::summarize_trace(trace, options.concurrency);
+        summary.add_row({"p50 response [s]", util::Table::num(trace_stats.p50_response_s, 3)});
+        summary.add_row({"p95 response [s]", util::Table::num(trace_stats.p95_response_s, 3)});
+        summary.add_row({"makespan [s]", util::Table::num(trace_stats.makespan_s, 3)});
+        summary.add_row({"utilization", util::Table::num(trace_stats.utilization, 2)});
     }
     std::cout << summary.render();
     if (!options.state_dir.empty())
@@ -616,11 +606,9 @@ int cmd_resume(const util::Args& args) {
     service_options.state_dir = state_dir;
     service_options.obs = obs_outputs.get();
     service_options.journal = &journal;
-    // Number the re-runs after every id the journal already knows, so the
-    // records this run appends never collide with the crashed run's.
-    for (const ft::RecoveredJob& job : plan.jobs)
-        service_options.first_job_id = std::max(service_options.first_job_id, job.job_id);
-    core::PipeTuneService service(backend, service_options);
+    // One slot: the re-runs share `backend`'s per-job seed, so they must run
+    // one after another. Each is submitted under its original id.
+    sched::ConcurrentPipeTuneService service(backend, service_options);
 
     std::vector<core::GroundTruthEntry> recovered;
     recovered.reserve(plan.ground_truth.size());
@@ -695,7 +683,7 @@ int cmd_serve(const util::Args& args) {
     service_options.reject_when_full = true;
     service_options.obs = obs_outputs.get();
     service_options.journal = ft_setup.journal.get();
-    const auto service = sched::make_tuning_service(active, service_options);
+    sched::ConcurrentPipeTuneService service(active, service_options);
 
     auto tenants = net::TenantRegistry::from_spec(
         args.get_or("tenants", ""),
@@ -710,7 +698,7 @@ int cmd_serve(const util::Args& args) {
     server_config.port = static_cast<std::uint16_t>(args.get_uint_or("port", 0));
     server_config.max_connections =
         static_cast<std::size_t>(args.get_uint_or("max-connections", 256));
-    server_config.service = service.get();
+    server_config.service = &service;
     server_config.tenants = &tenants.value();
     server_config.obs = obs_outputs.get();
     server_config.default_job = job_config(args, seed);
@@ -744,7 +732,7 @@ int cmd_serve(const util::Args& args) {
     server.wait();
     g_server.store(nullptr, std::memory_order_relaxed);
 
-    service->drain();
+    service.drain();
     const auto counters = server.counters();
     util::Table summary({"metric", "value"});
     summary.add_row({"connections", std::to_string(counters.connections)});
