@@ -5,9 +5,15 @@
 // parity suite asserts exact equality), so this measures pure throughput,
 // not an accuracy trade.
 //
+// A second section times the per-job middleware operations whose cost must
+// not grow with uptime: a ground-truth lookup at 16/256/1024 entries and the
+// metrics store's unfiltered count() (the policy's pseudo-clock) at 160k
+// points.
+//
 // Timing follows the calibrate → warm up → repeat → p50/p99 protocol from
 // bench_timing.hpp. Results land in BENCH_micro.json next to the binary;
-// the gate claims ≥2× epoch throughput.
+// the gate claims ≥2× epoch throughput, a 1024-entry lookup under 1 ms and
+// a count() under 10 µs.
 
 #include <iostream>
 #include <string>
@@ -15,7 +21,9 @@
 
 #include "bench_common.hpp"
 #include "bench_timing.hpp"
+#include "pipetune/core/ground_truth.hpp"
 #include "pipetune/data/synthetic.hpp"
+#include "pipetune/metricsdb/tsdb.hpp"
 #include "pipetune/nn/models.hpp"
 #include "pipetune/nn/trainer.hpp"
 #include "pipetune/tensor/ops.hpp"
@@ -93,6 +101,45 @@ nn::Trainer make_trainer(const data::TrainTestPair& split) {
 }
 
 std::string ms(double seconds) { return util::Table::num(1e3 * seconds, 3); }
+std::string us(double seconds) { return util::Table::num(1e6 * seconds, 3); }
+
+constexpr std::size_t kProfileDims = 58;  // perf::mean_features' width
+
+/// A default-config store of `n` profiles from two well-separated workload
+/// groups, loaded the way a daemon restart loads it (one refit).
+core::GroundTruth make_store(std::size_t n, util::Rng& rng) {
+    util::Json entries = util::Json::array();
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> features(kProfileDims);
+        const double base = i % 2 == 0 ? 2.0 : 9.0;
+        for (auto& x : features) x = base + rng.normal(0.0, 0.3);
+        util::Json entry;
+        entry["features"] = util::Json::array_of(features);
+        entry["cores"] = 4 + i % 13;
+        entry["memory_gb"] = 4 + i % 29;
+        entries.push_back(std::move(entry));
+    }
+    util::Json doc;
+    doc["entries"] = std::move(entries);
+    return core::GroundTruth::from_json(doc);
+}
+
+/// A metrics store shaped like a long-running daemon's: `epochs` epochs of
+/// the three policy series, each point tagged like PipeTunePolicy tags it.
+metricsdb::TimeSeriesDb make_metrics(std::size_t epochs) {
+    metricsdb::TimeSeriesDb db;
+    for (std::size_t e = 0; e < epochs; ++e) {
+        const metricsdb::TagSet tags{{"trial", std::to_string(1 + e / 27 % 40)},
+                                     {"epoch", std::to_string(1 + e % 27)},
+                                     {"phase", e % 27 < 2 ? "profiling" : "tuned"},
+                                     {"system", "8c/16g@2.4"}};
+        const double t = static_cast<double>(e);
+        db.append("epoch_duration", t, 1.0, tags);
+        db.append("epoch_energy", t, 2.0, tags);
+        db.append("epoch_accuracy", t, 0.5, tags);
+    }
+    return db;
+}
 
 }  // namespace
 
@@ -153,6 +200,37 @@ int main() {
         doc["kernels"] = "skipped: host lacks AVX2";
         std::cout << "kernel substrate skipped: host lacks AVX2\n";
     }
+
+    // Per-job middleware operations, timed on the code as it is: these are
+    // absolute budgets, not before/after pairs.
+    util::Table middleware({"operation", "p50 us", "p99 us"});
+    util::Json middleware_doc = util::Json::object();
+    util::Rng store_rng(7);
+    double lookup_1024_s = 0.0;
+    for (std::size_t n : {16, 256, 1024}) {
+        const core::GroundTruth store = make_store(n, store_rng);
+        const std::vector<double> query = store.entries()[n / 2].features;
+        double score = 0.0;
+        const auto timing = bench::measure_calibrated([&] { (void)store.lookup(query, &score); });
+        const std::string name = "gt_lookup_" + std::to_string(n);
+        middleware.add_row({name, us(timing.p50_s), us(timing.p99_s)});
+        middleware_doc[name] = timing.to_json();
+        if (n == 1024) lookup_1024_s = timing.p50_s;
+    }
+    const metricsdb::TimeSeriesDb metrics = make_metrics(160000 / 3 + 1);
+    const metricsdb::Query clock{.series = "epoch_duration"};
+    std::size_t sink = 0;
+    const auto count = bench::measure_calibrated([&] { sink += metrics.count(clock); });
+    const std::string count_name = "metrics_count_" + std::to_string(metrics.total_points());
+    middleware.add_row({count_name, us(count.p50_s), us(count.p99_s)});
+    middleware_doc[count_name] = count.to_json();
+    doc["middleware"] = std::move(middleware_doc);
+    std::cout << middleware.render() << "(count checksum " << sink % 10 << ")\n\n";
+
+    claims.push_back({"ground-truth lookup, 1024 entries", "< 1 ms", ms(lookup_1024_s) + " ms",
+                      lookup_1024_s < 1e-3});
+    claims.push_back({"metrics count() pseudo-clock, 160k points", "< 10 us",
+                      us(count.p50_s) + " us", count.p50_s < 10e-6});
 
     bench::print_claims(claims);
 

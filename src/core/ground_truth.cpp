@@ -1,9 +1,9 @@
 #include "pipetune/core/ground_truth.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "pipetune/util/stats.hpp"
-#include <stdexcept>
 
 namespace pipetune::core {
 
@@ -33,6 +33,8 @@ void GroundTruth::refit() {
     similarity_.fit(features);
     fitted_ = true;
     inserts_since_fit_ = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+        labels_[i] = similarity_.cluster_of(entries_[i].features);
 }
 
 void GroundTruth::record(const std::vector<double>& features,
@@ -41,6 +43,7 @@ void GroundTruth::record(const std::vector<double>& features,
     if (!entries_.empty() && entries_.front().features.size() != features.size())
         throw std::invalid_argument("GroundTruth::record: feature dimension mismatch");
     entries_.push_back({features, best, metric});
+    labels_.push_back(fitted_ ? similarity_.cluster_of(features) : 0);
     if (++inserts_since_fit_ >= config_.refit_interval || !fitted_) refit();
 }
 
@@ -59,11 +62,10 @@ std::optional<workload::SystemParams> GroundTruth::lookup(const std::vector<doub
     // fast large-batch trial always has the lowest epoch time, yet is exactly
     // wrong for a small-batch query. The nearest profile shares the query's
     // characteristics, batch effects included.)
-    const auto clusters = entry_clusters();
     const GroundTruthEntry* nearest = nullptr;
     double nearest_distance = std::numeric_limits<double>::max();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (clusters[i] != match->cluster) continue;
+        if (labels_[i] != match->cluster) continue;
         const double distance = util::euclidean(entries_[i].features, features);
         if (distance < nearest_distance) {
             nearest_distance = distance;
@@ -72,16 +74,6 @@ std::optional<workload::SystemParams> GroundTruth::lookup(const std::vector<doub
     }
     if (nearest == nullptr) return std::nullopt;  // empty cluster
     return nearest->best_system;
-}
-
-std::vector<std::size_t> GroundTruth::entry_clusters() const {
-    std::vector<std::size_t> clusters(entries_.size(), 0);
-    if (!fitted_) return clusters;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        const auto match = similarity_.match(entries_[i].features);
-        clusters[i] = match ? match->cluster : 0;
-    }
-    return clusters;
 }
 
 util::Json GroundTruth::to_json() const {
@@ -111,6 +103,7 @@ GroundTruth GroundTruth::from_json(const util::Json& json, GroundTruthConfig con
         gt.entries_.push_back({e.at("features").as_double_vector(), system,
                                e.get_number("metric", 0.0)});
     }
+    gt.labels_.assign(gt.entries_.size(), 0);
     gt.refit();
     return gt;
 }

@@ -57,12 +57,14 @@ public:
 
     /// Known-best configuration for a similar profile, if the similarity
     /// score clears the threshold. `score_out` (optional) receives the score
-    /// even on a miss.
+    /// even on a miss. O(n·d): one match() plus one scan of the matched
+    /// cluster, whose labels were cached when entries were written.
     std::optional<workload::SystemParams> lookup(const std::vector<double>& features,
                                                  double* score_out = nullptr) const override;
 
     /// Store a (profile, best configuration) pair discovered by probing;
-    /// triggers re-clustering every `refit_interval` inserts.
+    /// triggers re-clustering every `refit_interval` inserts. Between refits
+    /// the new entry is labelled under the current model.
     void record(const std::vector<double>& features, const workload::SystemParams& best,
                 double metric) override;
 
@@ -71,8 +73,9 @@ public:
     const GroundTruthConfig& config() const { return config_; }
     const std::vector<GroundTruthEntry>& entries() const { return entries_; }
 
-    /// Cluster id of each stored entry under the current model (for Fig 8).
-    std::vector<std::size_t> entry_clusters() const;
+    /// Cluster id of each stored entry under the current model (for Fig 8);
+    /// all zeros until the model is fitted.
+    const std::vector<std::size_t>& entry_clusters() const { return labels_; }
 
     // Persistence. try_load is the Result-returning loader (missing file,
     // bad JSON, schema drift all land in the error string); load throws it.
@@ -84,10 +87,12 @@ public:
     static GroundTruth load(const std::string& path, GroundTruthConfig config = {});
 
 private:
+    /// Re-cluster and relabel every entry (no-op below min_entries_for_model).
     void refit();
 
     GroundTruthConfig config_;
     std::vector<GroundTruthEntry> entries_;
+    std::vector<std::size_t> labels_;  ///< cluster of entries_[i]; model changes only at refit
     mlcore::KMeansSimilarity similarity_;
     std::size_t inserts_since_fit_ = 0;
     bool fitted_ = false;

@@ -51,6 +51,10 @@ public:
 
     void fit(const std::vector<std::vector<double>>& features) override;
     std::optional<SimilarityMatch> match(const std::vector<double>& features) const override;
+    /// match()'s cluster without its confidence score: standardize and
+    /// predict only, O(k·d) instead of match()'s O(n·d) neighbour scan.
+    /// Throws std::runtime_error before fit.
+    std::size_t cluster_of(const std::vector<double>& features) const;
     bool fitted() const override;
     std::string name() const override { return "kmeans"; }
 

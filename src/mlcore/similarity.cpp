@@ -39,6 +39,11 @@ void KMeansSimilarity::fit(const std::vector<std::vector<double>>& features) {
 
 bool KMeansSimilarity::fitted() const { return model_.fitted() && standardizer_.fitted(); }
 
+std::size_t KMeansSimilarity::cluster_of(const std::vector<double>& features) const {
+    if (!fitted()) throw std::runtime_error("KMeansSimilarity::cluster_of before fit");
+    return model_.predict(standardizer_.transform(features));
+}
+
 std::optional<SimilarityMatch> KMeansSimilarity::match(const std::vector<double>& features) const {
     if (!fitted()) return std::nullopt;
     const auto z = standardizer_.transform(features);

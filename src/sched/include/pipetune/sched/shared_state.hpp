@@ -24,12 +24,11 @@
 //  - record / append / load take unique locks; whole-store snapshots
 //    (metrics_snapshot / save) take shared locks.
 //  - The metrics view additionally clamps pseudo-times per series under the
-//    write lock: concurrent jobs each generate locally monotone times, and
-//    interleaving them raw would violate the TSDB's per-series monotonicity
-//    invariant.
+//    write lock, up to the series' last stored time: concurrent jobs each
+//    generate locally monotone times, and interleaving them raw would
+//    violate the TSDB's per-series monotonicity invariant.
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -125,9 +124,6 @@ private:
     mutable std::mutex snapshot_mutex_;
     std::shared_ptr<const core::GroundTruth> truth_snapshot_;
     util::Seqlock<StateStats> stats_;
-    /// Last time appended per series (under metrics_mutex_): appends from
-    /// interleaved jobs are clamped up to this to keep series monotone.
-    std::map<std::string, double> series_clock_;
     LockedGroundTruth truth_view_;
     LockedMetrics metrics_view_;
 };

@@ -19,10 +19,6 @@ SharedClusterState::SharedClusterState(core::GroundTruth ground_truth,
       metrics_(std::move(metrics)),
       truth_view_(*this),
       metrics_view_(*this) {
-    for (const auto& series : metrics_.series_names()) {
-        const auto points = metrics_.select({.series = series});
-        if (!points.empty()) series_clock_[series] = points.back().time;
-    }
     republish_truth_locked();
     refresh_truth_stats_locked();
     refresh_metrics_stats_locked();
@@ -109,11 +105,6 @@ void SharedClusterState::load(const std::string& state_dir,
             throw std::runtime_error("SharedClusterState::load: " + result.error());
         auto loaded = std::move(result).value();
         std::unique_lock lock(metrics_mutex_);
-        series_clock_.clear();
-        for (const auto& series : loaded.series_names()) {
-            const auto points = loaded.select({.series = series});
-            if (!points.empty()) series_clock_[series] = points.back().time;
-        }
         metrics_ = std::move(loaded);
         refresh_metrics_stats_locked();
     }
@@ -172,10 +163,9 @@ void SharedClusterState::LockedMetrics::append(const std::string& series, double
     std::unique_lock lock(state_.metrics_mutex_);
     // Each job's policy generates locally monotone pseudo-times; interleaved
     // jobs would violate the per-series monotonicity the TSDB enforces, so
-    // clamp to the series' shared clock.
-    auto& clock = state_.series_clock_[series];
-    if (time < clock) time = clock;
-    clock = time;
+    // clamp to the series' last stored time, which the columnar store keeps
+    // at the back of its time column.
+    if (const auto last = state_.metrics_.last_time(series); last && time < *last) time = *last;
     state_.metrics_.append(series, time, value, std::move(tags));
     // Incremental: one seqlock publish, not a full total_points() rescan.
     state_.stats_.update([](StateStats& s) { ++s.metric_points; });

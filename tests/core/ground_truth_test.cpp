@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "pipetune/core/ground_truth.hpp"
+#include "pipetune/mlcore/similarity.hpp"
 #include "pipetune/util/rng.hpp"
+#include "pipetune/util/stats.hpp"
 
 namespace pipetune::core {
 namespace {
@@ -155,6 +158,216 @@ TEST(GroundTruth, RefitIntervalControlsReclustering) {
     EXPECT_TRUE(gt.model_ready());  // first fit happens as soon as possible
     for (int i = 0; i < 10; ++i) gt.record(family_vector(0, rng), {.cores = 4, .memory_gb = 8}, 1.0);
     EXPECT_EQ(gt.size(), 14u);
+}
+
+// ---- Property test: cached-label lookup == the original algorithm ----------
+
+/// The store as it was before cluster labels were cached: lookup relabels
+/// every entry through KMeansSimilarity::match (O(n²·d) per lookup). Kept as
+/// the oracle the O(n·d) GroundTruth must agree with, decision for decision.
+class ReferenceGroundTruth {
+public:
+    explicit ReferenceGroundTruth(GroundTruthConfig config)
+        : config_(config),
+          similarity_(mlcore::KMeansConfig{.k = config.k,
+                                           .max_iterations = 100,
+                                           .tolerance = 1e-6,
+                                           .seed = config.seed}) {}
+
+    void record(const std::vector<double>& features, const workload::SystemParams& best) {
+        entries_.push_back({features, best, 0.0});
+        if (++inserts_since_fit_ >= config_.refit_interval || !fitted_) refit();
+    }
+
+    /// The from_json path: entries first, one refit.
+    static ReferenceGroundTruth loaded(GroundTruthConfig config,
+                                       const std::vector<GroundTruthEntry>& entries) {
+        ReferenceGroundTruth ref(config);
+        ref.entries_ = entries;
+        ref.refit();
+        return ref;
+    }
+
+    std::optional<workload::SystemParams> lookup(const std::vector<double>& features,
+                                                 double* score_out) const {
+        *score_out = 0.0;
+        if (!(fitted_ && entries_.size() >= config_.min_entries_for_model)) return std::nullopt;
+        const auto match = similarity_.match(features);
+        if (!match) return std::nullopt;
+        *score_out = match->score;
+        if (match->score < config_.similarity_threshold) return std::nullopt;
+        const auto clusters = entry_clusters();
+        const GroundTruthEntry* nearest = nullptr;
+        double nearest_distance = std::numeric_limits<double>::max();
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            if (clusters[i] != match->cluster) continue;
+            const double distance = util::euclidean(entries_[i].features, features);
+            if (distance < nearest_distance) {
+                nearest_distance = distance;
+                nearest = &entries_[i];
+            }
+        }
+        if (nearest == nullptr) return std::nullopt;
+        return nearest->best_system;
+    }
+
+    std::vector<std::size_t> entry_clusters() const {
+        std::vector<std::size_t> clusters(entries_.size(), 0);
+        if (!fitted_) return clusters;
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            const auto match = similarity_.match(entries_[i].features);
+            clusters[i] = match ? match->cluster : 0;
+        }
+        return clusters;
+    }
+
+    std::size_t inserts_since_fit() const { return inserts_since_fit_; }
+
+private:
+    void refit() {
+        if (entries_.size() < config_.min_entries_for_model) return;
+        std::vector<std::vector<double>> features;
+        for (const auto& entry : entries_) features.push_back(entry.features);
+        similarity_.fit(features);
+        fitted_ = true;
+        inserts_since_fit_ = 0;
+    }
+
+    GroundTruthConfig config_;
+    std::vector<GroundTruthEntry> entries_;
+    mlcore::KMeansSimilarity similarity_;
+    std::size_t inserts_since_fit_ = 0;
+    bool fitted_ = false;
+};
+
+constexpr std::size_t kProfileDims = 58;  // perf::mean_features' width
+
+/// Profiles scattered around a few random workload centres (log-rate-like
+/// magnitudes), so the stores have cluster structure but uneven clusters.
+struct ProfileSource {
+    explicit ProfileSource(std::uint64_t seed) : rng(seed) {
+        const std::size_t groups = 2 + rng.index(4);
+        for (std::size_t g = 0; g < groups; ++g) {
+            std::vector<double> centre(kProfileDims);
+            for (auto& x : centre) x = rng.uniform(-5.0, 15.0);
+            centres.push_back(std::move(centre));
+        }
+    }
+    std::vector<double> stored() {
+        const auto& centre = centres[rng.index(centres.size())];
+        const double spread = rng.uniform(0.05, 1.5);
+        std::vector<double> v(kProfileDims);
+        for (std::size_t d = 0; d < kProfileDims; ++d) v[d] = centre[d] + rng.normal(0.0, spread);
+        return v;
+    }
+    /// A stored row nudged by `noise` (0 = an exact repeat of that job).
+    std::vector<double> near(const std::vector<GroundTruthEntry>& entries, double noise) {
+        auto v = entries[rng.index(entries.size())].features;
+        for (auto& x : v) x += rng.normal(0.0, noise);
+        return v;
+    }
+    /// An unseen workload: nowhere near any centre.
+    std::vector<double> far() {
+        std::vector<double> v(kProfileDims);
+        for (auto& x : v) x = rng.uniform(40.0, 200.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+        return v;
+    }
+
+    util::Rng rng;
+    std::vector<std::vector<double>> centres;
+};
+
+struct Outcomes {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+};
+
+/// Hit/miss, score, chosen config and per-entry labels must all agree.
+void expect_same_answers(const GroundTruth& gt, const ReferenceGroundTruth& ref,
+                         ProfileSource& source, const std::string& where, Outcomes& outcomes) {
+    EXPECT_EQ(gt.entry_clusters(), ref.entry_clusters()) << where;
+    std::vector<std::vector<double>> queries;
+    for (double noise : {0.0, 0.01, 0.3, 2.0}) queries.push_back(source.near(gt.entries(), noise));
+    queries.push_back(source.stored());
+    queries.push_back(source.far());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        double score = -1.0;
+        double ref_score = -1.0;
+        const auto got = gt.lookup(queries[q], &score);
+        const auto want = ref.lookup(queries[q], &ref_score);
+        EXPECT_EQ(got.has_value(), want.has_value()) << where << " query " << q;
+        EXPECT_EQ(score, ref_score) << where << " query " << q;
+        if (got && want) {
+            EXPECT_EQ(*got, *want) << where << " query " << q;
+        }
+        ++(got ? outcomes.hits : outcomes.misses);
+    }
+}
+
+TEST(GroundTruthProperty, CachedLabelLookupMatchesReferenceAlgorithm) {
+    struct Case {
+        std::size_t entries;
+        std::size_t refit_interval;
+        std::size_t k;
+        double threshold;
+    };
+    const std::vector<Case> cases = {{4, 1, 2, 0.15},    {5, 4, 2, 0.15},  {9, 3, 3, 0.0},
+                                     {16, 4, 2, 0.15},   {33, 5, 2, 0.5},  {64, 4, 3, 0.15},
+                                     {257, 16, 2, 0.15}, {1024, 300, 2, 0.15}};
+    std::uint64_t seed = 100;
+    Outcomes outcomes;
+    for (const auto& c : cases) {
+        const GroundTruthConfig config{.k = c.k,
+                                       .similarity_threshold = c.threshold,
+                                       .min_entries_for_model = 4,
+                                       .refit_interval = c.refit_interval,
+                                       .seed = seed};
+        ProfileSource source(++seed);
+        GroundTruth gt(config);
+        ReferenceGroundTruth ref(config);
+        for (std::size_t i = 0; i < c.entries; ++i) {
+            const auto features = source.stored();
+            // A distinct config per entry, so "same config" means "same entry".
+            const workload::SystemParams best{.cores = i + 1, .memory_gb = 4 + i % 7};
+            gt.record(features, best, 1.0);
+            ref.record(features, best);
+            // Check every small store, and big ones right after a refit, just
+            // before the next one (labels assigned between refits), and at
+            // the end.
+            const std::size_t n = i + 1;
+            const bool refit_edge = ref.inserts_since_fit() == 0 ||
+                                    ref.inserts_since_fit() + 1 == c.refit_interval;
+            if (n <= 40 || refit_edge || n == c.entries)
+                expect_same_answers(gt, ref, source,
+                                    "n=" + std::to_string(n) + " seed=" + std::to_string(seed),
+                                    outcomes);
+        }
+        // The RCU republish path hands readers a copy of the store.
+        const GroundTruth copy = gt;
+        expect_same_answers(copy, ref, source, "copy seed=" + std::to_string(seed), outcomes);
+        GroundTruth assigned(config);
+        assigned = copy;
+        expect_same_answers(assigned, ref, source, "assigned seed=" + std::to_string(seed),
+                            outcomes);
+        // A reloaded store labels every entry at its one refit.
+        const GroundTruth reloaded = GroundTruth::from_json(gt.to_json(), config);
+        const auto ref_reloaded = ReferenceGroundTruth::loaded(config, gt.entries());
+        expect_same_answers(reloaded, ref_reloaded, source, "reload seed=" + std::to_string(seed),
+                            outcomes);
+    }
+    // Both branches of the decision were exercised, not just one.
+    EXPECT_GT(outcomes.hits, 100u);
+    EXPECT_GT(outcomes.misses, 100u);
+}
+
+TEST(GroundTruthProperty, LabelsAreZeroUntilTheFirstFit) {
+    GroundTruth gt;
+    util::Rng rng(11);
+    for (int i = 0; i < 3; ++i) gt.record(family_vector(i % 2, rng), {}, 1.0);
+    EXPECT_EQ(gt.entry_clusters(), std::vector<std::size_t>(3, 0));
+    gt.record(family_vector(1, rng), {}, 1.0);
+    ASSERT_TRUE(gt.model_ready());
+    EXPECT_EQ(gt.entry_clusters().size(), 4u);
 }
 
 }  // namespace

@@ -142,5 +142,67 @@ TEST(SharedClusterState, SaveLoadRoundTrip) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(SharedClusterState, LoadedStateClampsNextAppendToLastPersistedTime) {
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "pt_shared_state_clamp_test").string();
+    std::filesystem::remove_all(dir);
+    {
+        SharedClusterState state;
+        state.metrics().append("epoch_duration", 0.0, 1.0, {});
+        state.metrics().append("epoch_duration", 41.0, 1.0, {{"trial", "1"}});
+        state.metrics().append("epoch_energy", 7.0, 1.0, {});
+        state.save(dir);
+    }
+    SharedClusterState restored;
+    restored.metrics().append("epoch_duration", 99.0, 1.0, {});  // replaced by load()
+    restored.load(dir);
+    restored.metrics().append("epoch_duration", 3.0, 2.0, {});
+    restored.metrics().append("epoch_energy", 9.0, 2.0, {});  // already past: kept as is
+    restored.metrics().append("epoch_accuracy", 0.5, 2.0, {});  // new series: kept as is
+    const auto snapshot = restored.metrics_snapshot();
+    EXPECT_EQ(snapshot.select({.series = "epoch_duration"}).back().time, 41.0);
+    EXPECT_EQ(snapshot.select({.series = "epoch_energy"}).back().time, 9.0);
+    EXPECT_EQ(snapshot.select({.series = "epoch_accuracy"}).back().time, 0.5);
+    EXPECT_EQ(restored.metric_points(), 6u);
+    EXPECT_EQ(restored.metrics().count({.series = "epoch_duration"}), 3u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SharedClusterState, ConcurrentAppendersKeepEverySeriesMonotone) {
+    // Four jobs, each with its own locally monotone clock starting at a
+    // different offset, writing all three epoch series, while count() (the
+    // policy's pseudo-clock) reads alongside.
+    SharedClusterState state;
+    const std::vector<std::string> series = {"epoch_duration", "epoch_energy", "epoch_accuracy"};
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kPerThread = 200;
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            std::size_t last_count = 0;
+            for (std::size_t i = 0; i < kPerThread; ++i) {
+                const double time = static_cast<double>(t * 50 + i);
+                for (const auto& name : series)
+                    state.metrics().append(name, time, 1.0, {{"trial", std::to_string(t)}});
+                const std::size_t now = state.metrics().count({.series = "epoch_duration"});
+                EXPECT_GE(now, last_count);
+                last_count = now;
+            }
+        });
+    for (auto& thread : threads) thread.join();
+
+    const auto snapshot = state.metrics_snapshot();
+    EXPECT_EQ(state.metric_points(), kThreads * kPerThread * series.size());
+    for (const auto& name : series) {
+        const auto points = snapshot.select({.series = name});
+        ASSERT_EQ(points.size(), kThreads * kPerThread) << name;
+        for (std::size_t i = 1; i < points.size(); ++i)
+            ASSERT_GE(points[i].time, points[i - 1].time) << name << " at " << i;
+        for (std::size_t t = 0; t < kThreads; ++t)
+            EXPECT_EQ(snapshot.count({.series = name, .tags = {{"trial", std::to_string(t)}}}),
+                      kPerThread);
+    }
+}
+
 }  // namespace
 }  // namespace pipetune::sched

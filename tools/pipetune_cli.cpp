@@ -548,9 +548,9 @@ int cmd_replay(const util::Args& args) {
     summary.add_row({"jobs failed", std::to_string(stats.failed)});
     summary.add_row({"max queue depth", std::to_string(stats.max_queue_depth)});
     summary.add_row({"ground-truth hits (total)", std::to_string(total_hits)});
-    summary.add_row({"store entries", std::to_string(service.ground_truth_snapshot().size())});
-    summary.add_row(
-        {"metric points", std::to_string(service.metrics_snapshot().total_points())});
+    const auto& cluster_state = service.cluster_state();
+    summary.add_row({"store entries", std::to_string(cluster_state.ground_truth_size())});
+    summary.add_row({"metric points", std::to_string(cluster_state.metric_points())});
     const auto trace = service.trace();
     if (!trace.empty()) {
         const auto trace_stats = cluster::summarize_trace(trace, options.concurrency);
