@@ -76,10 +76,10 @@ std::optional<workload::SystemParams> GroundTruth::lookup(const std::vector<doub
     return nearest->best_system;
 }
 
-util::Json GroundTruth::to_json() const {
+util::Json GroundTruth::entries_to_json(const std::vector<GroundTruthEntry>& entries) {
     util::Json json;
     util::Json list = util::Json::array();
-    for (const auto& entry : entries_) {
+    for (const auto& entry : entries) {
         util::Json e;
         e["features"] = util::Json::array_of(entry.features);
         e["cores"] = entry.best_system.cores;
@@ -92,20 +92,80 @@ util::Json GroundTruth::to_json() const {
     return json;
 }
 
-GroundTruth GroundTruth::from_json(const util::Json& json, GroundTruthConfig config) {
-    GroundTruth gt(config);
+util::Json GroundTruth::to_json() const { return entries_to_json(entries_); }
+
+namespace {
+
+std::vector<GroundTruthEntry> entries_from_json(const util::Json& json) {
+    std::vector<GroundTruthEntry> entries;
     for (const auto& e : json.at("entries").as_array()) {
         workload::SystemParams system;
         system.cores = static_cast<std::size_t>(e.at("cores").as_int());
         system.memory_gb = static_cast<std::size_t>(e.at("memory_gb").as_int());
         system.frequency_ghz =
             e.get_number("frequency_ghz", workload::SystemParams::kBaseFrequencyGhz);
-        gt.entries_.push_back({e.at("features").as_double_vector(), system,
-                               e.get_number("metric", 0.0)});
+        entries.push_back(
+            {e.at("features").as_double_vector(), system, e.get_number("metric", 0.0)});
     }
+    return entries;
+}
+
+}  // namespace
+
+GroundTruth GroundTruth::from_json(const util::Json& json, GroundTruthConfig config) {
+    GroundTruth gt(config);
+    gt.entries_ = entries_from_json(json);
     gt.labels_.assign(gt.entries_.size(), 0);
     gt.refit();
     return gt;
+}
+
+GroundTruth GroundTruth::from_entries(std::vector<GroundTruthEntry> entries,
+                                      GroundTruthConfig config) {
+    // record() fits first once min_entries_for_model entries are in, then
+    // every refit_interval inserts; entries after the last fit are labelled
+    // under it. Fit once at that point and label the rest the same way.
+    GroundTruth gt(config);
+    const std::size_t n = entries.size();
+    const std::size_t first_fit = config.min_entries_for_model;
+    const std::size_t last_fit =
+        n < first_fit ? 0
+                      : first_fit + (n - first_fit) / config.refit_interval * config.refit_interval;
+    for (const GroundTruthEntry& entry : entries) {
+        if (entry.features.empty())
+            throw std::invalid_argument("GroundTruth::from_entries: empty features");
+        if (entry.features.size() != entries.front().features.size())
+            throw std::invalid_argument("GroundTruth::from_entries: feature dimension mismatch");
+    }
+    gt.entries_ = std::move(entries);
+    gt.labels_.assign(n, 0);
+    if (last_fit == 0) {
+        gt.inserts_since_fit_ = n;  // refit() is a no-op below the minimum
+        return gt;
+    }
+    std::vector<GroundTruthEntry> tail(gt.entries_.begin() + static_cast<std::ptrdiff_t>(last_fit),
+                                       gt.entries_.end());
+    gt.entries_.resize(last_fit);
+    gt.labels_.resize(last_fit);
+    gt.refit();
+    for (GroundTruthEntry& entry : tail) {
+        gt.labels_.push_back(gt.similarity_.cluster_of(entry.features));
+        gt.entries_.push_back(std::move(entry));
+        ++gt.inserts_since_fit_;
+    }
+    return gt;
+}
+
+util::Result<std::vector<GroundTruthEntry>> GroundTruth::try_load_entries(
+    const std::string& path) {
+    using Out = util::Result<std::vector<GroundTruthEntry>>;
+    auto json = util::Json::try_load_file(path);
+    if (!json) return Out::failure("ground truth: " + json.error());
+    try {
+        return entries_from_json(json.value());
+    } catch (const std::exception& e) {
+        return Out::failure("ground truth " + path + ": " + e.what());
+    }
 }
 
 void GroundTruth::save(const std::string& path) const { to_json().save_file(path); }

@@ -19,6 +19,8 @@ struct GroundTruthEntry {
     std::vector<double> features;  ///< profile feature vector (58 log-rates)
     workload::SystemParams best_system;
     double metric = 0.0;  ///< value of the optimization function under best_system
+
+    bool operator==(const GroundTruthEntry&) const = default;
 };
 
 struct GroundTruthConfig {
@@ -79,8 +81,29 @@ public:
 
     // Persistence. try_load is the Result-returning loader (missing file,
     // bad JSON, schema drift all land in the error string); load throws it.
+    //
+    // Two ways to rebuild a store from its entries, on purpose:
+    //  - from_json / try_load / load fit the model once on all entries. A
+    //    store saved by hand and loaded later (examples, benches) gets the
+    //    freshest model; examples/image_pipeline's output and the
+    //    GroundTruthProperty reload oracle pin this.
+    //  - from_entries rebuilds the store record() left, model included. A
+    //    service reloading its state dir uses it, so a restart in the middle
+    //    of a campaign decides exactly as the uninterrupted run.
+    // The two agree on the entries and differ only in where the model was
+    // last fitted.
     util::Json to_json() const;
     static GroundTruth from_json(const util::Json& json, GroundTruthConfig config = {});
+    /// The store record() leaves after inserting `entries` one by one into
+    /// an empty store: the same entries, cluster model and labels, and
+    /// refit countdown, built with one fit instead of one per
+    /// refit_interval inserts.
+    static GroundTruth from_entries(std::vector<GroundTruthEntry> entries,
+                                    GroundTruthConfig config = {});
+    /// The persisted document for `entries` (what to_json() writes).
+    static util::Json entries_to_json(const std::vector<GroundTruthEntry>& entries);
+    /// The entries of a persisted document, in file order.
+    static util::Result<std::vector<GroundTruthEntry>> try_load_entries(const std::string& path);
     void save(const std::string& path) const;
     static util::Result<GroundTruth> try_load(const std::string& path,
                                               GroundTruthConfig config = {});

@@ -63,7 +63,9 @@ struct SubmitOptions {
 
 /// Service configuration.
 struct ServiceOptions {
-    /// Directory for ground_truth.json / metrics.json; empty = in-memory.
+    /// Directory for the state snapshot (ground_truth.json, metrics.json and,
+    /// with a journal, the snapshot.json manifest; DESIGN.md §10); empty =
+    /// in-memory.
     std::string state_dir;
     PipeTuneConfig pipetune{};
     /// Worker slots (§7.4 multi-tenancy). <= 1 means one slot: jobs run one
@@ -73,9 +75,6 @@ struct ServiceOptions {
     /// Full queue at submit: true = shed the job (submit returns nullopt),
     /// false = block until space.
     bool reject_when_full = false;
-    /// Rewrite the state files after every completed job (crash-safe at job
-    /// granularity, like the paper's InfluxDB writes).
-    bool persist_after_each_job = true;
     /// Run the §7.2 offline profiling campaign on construction when the
     /// store starts empty (skipped if persisted state is found).
     bool warm_start_on_first_use = false;
@@ -162,8 +161,8 @@ public:
     /// completes the remainder (DESIGN.md §11 overload/drain semantics).
     virtual std::size_t discard_queued() { return 0; }
 
-    /// Snapshot + atomically rewrite the state files (no-op when state_dir is
-    /// empty). Also runs after each job when persist_after_each_job is set.
+    /// Write a snapshot of the state files now (no-op when state_dir is
+    /// empty). Services also snapshot on their own, off the job path.
     virtual void persist() const = 0;
 
     /// Jobs that ran to completion over the service's lifetime.
@@ -178,7 +177,9 @@ public:
 
     /// Bulk-insert recovered ground-truth entries (ft::Recovery's replay of
     /// completed jobs' gt_record mutations) before any new job runs. Entries
-    /// are applied in order through the same record() path a live probe uses.
+    /// are applied in order through the same record() path a live probe uses,
+    /// unless the service already recovered them from its own state dir and
+    /// journal.
     virtual void seed_ground_truth(const std::vector<GroundTruthEntry>& entries) = 0;
 
     /// Persistence paths (empty when running in-memory).
@@ -195,8 +196,11 @@ util::Json journal_submit_payload(std::uint64_t job_id, const std::string& label
                                   const workload::Workload& workload,
                                   const hpt::HptJobConfig& job_config,
                                   const SubmitOptions& options);
-/// Inverse of journal_submit_payload (the resume path): rebuild the job
-/// config / submit options a recovered job was originally submitted with.
+/// Inverse of journal_submit_payload (the resume path): rebuild the
+/// workload, job config and submit options a recovered job was originally
+/// submitted with. workload_from_journal throws std::invalid_argument for a
+/// workload name the catalogue does not know.
+workload::Workload workload_from_journal(const util::Json& payload);
 hpt::HptJobConfig job_config_from_journal(const util::Json& payload);
 SubmitOptions submit_options_from_journal(const util::Json& payload);
 

@@ -1,5 +1,6 @@
 #include "pipetune/core/tuning_service.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "pipetune/ft/codec.hpp"
@@ -33,6 +34,15 @@ util::Json journal_submit_payload(std::uint64_t job_id, const std::string& label
     payload["job_id"] = job_id;
     payload["label"] = label;
     payload["workload"] = workload.name;
+    // A catalogue workload is journaled by name alone; any other (an unseen
+    // job, cluster::generate_arrivals) whole, so resume can rebuild it.
+    const auto& catalogue = workload::catalogue();
+    const bool in_catalogue =
+        std::any_of(catalogue.begin(), catalogue.end(), [&](const workload::Workload& entry) {
+            return entry.name == workload.name &&
+                   ft::workload_to_json(entry) == ft::workload_to_json(workload);
+        });
+    if (!in_catalogue) payload["workload_spec"] = ft::workload_to_json(workload);
     payload["priority"] = to_string(options.priority);
     payload["deadline_s"] = options.deadline_s;
     // Decimal string, not a JSON number: derived seeds use all 64 bits and a
@@ -49,6 +59,12 @@ util::Json journal_submit_payload(std::uint64_t job_id, const std::string& label
     config["seed"] = std::to_string(job_config.seed);  // 64-bit safe (see backend_seed)
     payload["job_config"] = std::move(config);
     return payload;
+}
+
+workload::Workload workload_from_journal(const util::Json& payload) {
+    if (payload.contains("workload_spec"))
+        return ft::workload_from_json(payload.at("workload_spec"));
+    return workload::find_workload(payload.get_string("workload", ""));
 }
 
 hpt::HptJobConfig job_config_from_journal(const util::Json& payload) {

@@ -9,6 +9,11 @@
 
 namespace pipetune::ft {
 
+/// Every field of a workload definition (a job on a perturbed, unseen
+/// workload is not in the catalogue, so resume must rebuild it).
+util::Json workload_to_json(const workload::Workload& workload);
+workload::Workload workload_from_json(const util::Json& json);
+
 util::Json system_to_json(const workload::SystemParams& system);
 workload::SystemParams system_from_json(const util::Json& json);
 

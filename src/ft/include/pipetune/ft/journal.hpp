@@ -4,10 +4,19 @@
 //
 //   {"seq":12,"type":"epoch_completed","crc":"9f3a...","payload":{...}}
 //
-// appended with util::append_file_durable (write + fsync), so once append()
-// returns success the record survives a crash at any later instant. seq is a
+// written to one O_APPEND descriptor as append() is called. seq is a
 // strictly increasing sequence number; crc is an FNV-1a checksum of
 // type+payload, so a torn or bit-rotted line is detected on read.
+//
+// Durability is per record type. The job lifecycle records (job_submitted,
+// job_completed, job_failed) are barriers: append() returns them only after
+// an fsync that started after their write has completed. Concurrent barrier
+// appends share that fsync (leader/follower group commit: one waiter syncs,
+// the others wait for it, and nobody holds the journal mutex across the
+// fsync). Every other record returns once written; the next barrier's fsync
+// covers it. That is all recovery needs: ft::Recovery applies a job's
+// gt_record mutations only once it has read the job's job_completed record,
+// and reads the trial and epoch records only as counters.
 //
 // Reading tolerates exactly the failure the format is designed for: a crash
 // mid-append leaves a partial (or checksum-failing) last line, which read()
@@ -16,11 +25,13 @@
 // is only ever appended to, so anything after a bad record has an unknown
 // causal history and ft::Recovery refuses to reason about it.
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "pipetune/obs/metrics_registry.hpp"
 #include "pipetune/util/json.hpp"
 #include "pipetune/util/result.hpp"
 
@@ -58,23 +69,48 @@ struct JournalReadResult {
 
 class Journal {
 public:
-    /// Opens (or creates on first append) the journal at `path`. If the file
-    /// already holds records, appends continue from the last valid seq — so
-    /// a resumed service extends the same journal it recovered from.
+    /// Opens the journal at `path` (the file is created on the first
+    /// append). If the file already holds records, appends continue from the
+    /// last valid seq — so a resumed service extends the same journal it
+    /// recovered from. The descriptor is opened lazily, by the first append.
     explicit Journal(std::string path);
+    ~Journal();
 
     Journal(const Journal&) = delete;
     Journal& operator=(const Journal&) = delete;
 
     const std::string& path() const { return path_; }
 
-    /// Durably append one record; thread-safe. On failure the journal is
-    /// unchanged (the record may occupy a partial line on disk, which a later
-    /// read() drops as a truncated tail).
-    util::Result<void> append(const std::string& type, util::Json payload);
+    /// Whether append() waits for `type` to be durable (the job lifecycle
+    /// records).
+    static bool is_barrier(const std::string& type);
+
+    /// Append one record and return its seq; thread-safe. A barrier record
+    /// returns once an fsync covering it has completed, any other once
+    /// written. On failure nothing was appended (the record may occupy a
+    /// partial line on disk, which a later read() drops as a torn tail).
+    util::Result<std::uint64_t> append(const std::string& type, util::Json payload);
+
+    /// Write one record without waiting for it to be durable, whatever its
+    /// type; sync(seq) makes it so. For a caller that orders its own state
+    /// by seq under its own lock and must not hold that lock across an fsync.
+    util::Result<std::uint64_t> write(const std::string& type, util::Json payload);
+
+    /// Block until every record up to `seq` is durable, joining an fsync in
+    /// flight or leading the next one.
+    util::Result<void> sync(std::uint64_t seq);
 
     /// Records appended so far by this handle plus what existed at open.
     std::uint64_t last_seq() const;
+    /// Highest seq known to be on stable storage (records that existed at
+    /// open count as durable).
+    std::uint64_t durable_seq() const;
+    /// Bytes this handle has appended.
+    std::uint64_t bytes_written() const;
+
+    /// Count records and fsyncs into `registry`
+    /// (pipetune_ft_journal_records_total, pipetune_ft_journal_fsyncs_total).
+    void attach_metrics(obs::MetricsRegistry& registry);
 
     /// Parse the journal at `path` into its valid record prefix. Fails only
     /// when the file is missing/unreadable or holds no valid record while
@@ -88,7 +124,14 @@ public:
 private:
     std::string path_;
     mutable std::mutex mutex_;
+    std::condition_variable synced_;
+    int fd_ = -1;                    ///< O_APPEND, opened by the first write
     std::uint64_t next_seq_ = 1;
+    std::uint64_t durable_seq_ = 0;  ///< covered by a completed fsync
+    std::uint64_t bytes_written_ = 0;
+    bool syncing_ = false;           ///< a leader's fsync is in flight
+    obs::Counter* records_total_ = nullptr;
+    obs::Counter* fsyncs_total_ = nullptr;
 };
 
 }  // namespace pipetune::ft

@@ -26,6 +26,7 @@ namespace pipetune::ft {
 /// One ground-truth record() call journaled by a completed job.
 struct RecoveredGtMutation {
     std::uint64_t job_id = 0;
+    std::uint64_t completed_seq = 0;  ///< seq of the job's job_completed record
     std::vector<double> features;
     workload::SystemParams best_system;
     double metric = 0.0;
@@ -38,6 +39,7 @@ struct RecoveredJob {
     std::string workload;  ///< workload name (resolvable via find_workload)
     util::Json submit;     ///< full job_submitted payload (config, seed, ...)
     bool completed = false;
+    std::uint64_t completed_seq = 0;  ///< seq of job_completed when completed
     bool failed = false;
     std::string error;              ///< failure reason when failed
     std::size_t epochs_logged = 0;  ///< epoch_completed records seen
@@ -47,7 +49,8 @@ struct RecoveredJob {
 struct RecoveryPlan {
     std::vector<RecoveredJob> jobs;  ///< in submission (journal) order
     /// Ground-truth state to seed a resumed service with: mutations of
-    /// completed jobs only, in journal order.
+    /// completed jobs only, job by job in job_completed order, each job's in
+    /// journal order.
     std::vector<RecoveredGtMutation> ground_truth;
     std::size_t records_read = 0;
     bool truncated_tail = false;

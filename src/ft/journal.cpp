@@ -1,12 +1,19 @@
 #include "pipetune/ft/journal.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
 
 #include "pipetune/util/fs.hpp"
+#include "pipetune/util/json.hpp"
 #include "pipetune/util/logging.hpp"
 
 namespace pipetune::ft {
@@ -81,6 +88,7 @@ Journal::Journal(std::string path) : path_(std::move(path)) {
     if (!existing) return;
     if (!existing.value().records.empty())
         next_seq_ = existing.value().records.back().seq + 1;
+    durable_seq_ = next_seq_ - 1;
     if (existing.value().truncated_tail) {
         // Chop the torn tail off before the first append: new records must
         // land on a clean line boundary inside the valid prefix, or every
@@ -99,24 +107,116 @@ Journal::Journal(std::string path) : path_(std::move(path)) {
     }
 }
 
-util::Result<void> Journal::append(const std::string& type, util::Json payload) {
-    std::lock_guard<std::mutex> lock(mutex_);
+Journal::~Journal() {
+    if (fd_ < 0) return;
+    // A clean close leaves every record durable, not only the barriers.
+    if (durable_seq_ < next_seq_ - 1) (void)::fsync(fd_);
+    ::close(fd_);
+}
+
+bool Journal::is_barrier(const std::string& type) {
+    return type == record_type::kJobSubmitted || type == record_type::kJobCompleted ||
+           type == record_type::kJobFailed;
+}
+
+util::Result<std::uint64_t> Journal::append(const std::string& type, util::Json payload) {
+    auto seq = write(type, std::move(payload));
+    if (!seq || !is_barrier(type)) return seq;
+    auto synced = sync(seq.value());
+    if (!synced)
+        return util::Result<std::uint64_t>::failure("journal append (" + type +
+                                                    "): " + synced.error());
+    return seq;
+}
+
+util::Result<std::uint64_t> Journal::write(const std::string& type, util::Json payload) {
+    using Out = util::Result<std::uint64_t>;
     const std::string payload_dump = payload.dump();
-    util::Json record = util::Json::object();
-    record["seq"] = next_seq_;
-    record["type"] = type;
-    record["crc"] = hex64(checksum(next_seq_, type, payload_dump));
-    record["payload"] = std::move(payload);
-    auto written = util::append_file_durable(path_, record.dump() + "\n");
-    if (!written)
-        return util::Result<void>::failure("journal append (" + type + "): " + written.error());
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::uint64_t seq = next_seq_;
+    // The canonical compact dump of {crc, payload, seq, type}, keys in
+    // order, assembled without a Json round trip.
+    std::string line = "{\"crc\":\"" + hex64(checksum(seq, type, payload_dump)) + "\",\"payload\":";
+    line += payload_dump;
+    line += ",\"seq\":";
+    util::append_json_number(line, static_cast<double>(seq));
+    line += ",\"type\":";
+    util::append_json_string(line, type);
+    line += "}\n";
+    if (fd_ < 0) {
+        std::error_code ec;
+        const bool existed = std::filesystem::exists(path_, ec);
+        fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+        if (fd_ < 0) {
+            const std::string error = std::strerror(errno);
+            return Out::failure("journal append (" + type + "): cannot open " + path_ + ": " +
+                                error);
+        }
+        // A new file's directory entry must be durable before its records
+        // can be.
+        if (!existed) (void)util::fsync_parent_dir(path_);
+    }
+    if (!util::write_all(fd_, line.data(), line.size())) {
+        const std::string error = std::strerror(errno);
+        return Out::failure("journal append (" + type + "): write failed for " + path_ + ": " +
+                            error);
+    }
     ++next_seq_;
+    bytes_written_ += line.size();
+    if (records_total_ != nullptr) records_total_->inc();
+    return seq;
+}
+
+util::Result<void> Journal::sync(std::uint64_t seq) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    seq = std::min(seq, next_seq_ - 1);
+    while (durable_seq_ < seq) {
+        if (syncing_) {
+            synced_.wait(lock);
+            continue;
+        }
+        // Lead one fsync. It covers every record written before it starts,
+        // so callers that wrote in the meantime ride along.
+        syncing_ = true;
+        const std::uint64_t covers = next_seq_ - 1;
+        const int fd = fd_;
+        lock.unlock();
+        const bool ok = ::fsync(fd) == 0;
+        const std::string error = ok ? std::string() : std::strerror(errno);
+        lock.lock();
+        syncing_ = false;
+        if (ok) {
+            durable_seq_ = std::max(durable_seq_, covers);
+            if (fsyncs_total_ != nullptr) fsyncs_total_->inc();
+        }
+        synced_.notify_all();
+        if (!ok) return util::Result<void>::failure("journal fsync " + path_ + ": " + error);
+    }
     return util::Result<void>::success();
 }
 
 std::uint64_t Journal::last_seq() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return next_seq_ - 1;
+}
+
+std::uint64_t Journal::durable_seq() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return durable_seq_;
+}
+
+std::uint64_t Journal::bytes_written() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_written_;
+}
+
+void Journal::attach_metrics(obs::MetricsRegistry& registry) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    records_total_ = &registry.counter("pipetune_ft_journal_records_total", {},
+                                       "Records appended to the write-ahead journal");
+    fsyncs_total_ = &registry.counter(
+        "pipetune_ft_journal_fsyncs_total", {},
+        "Journal fsyncs; concurrent lifecycle records share one (group commit)");
 }
 
 util::Result<JournalReadResult> Journal::read(const std::string& path) {

@@ -66,10 +66,13 @@ util::Result<RecoveryPlan> Recovery::analyze(const std::string& journal_path) {
         } else if (record.type == record_type::kJobCompleted) {
             if (RecoveredJob* job = job_slot(job_id)) {
                 job->completed = true;
+                job->completed_seq = record.seq;
                 auto buffered = buffered_gt.find(job_id);
                 if (buffered != buffered_gt.end()) {
-                    for (RecoveredGtMutation& mutation : buffered->second)
+                    for (RecoveredGtMutation& mutation : buffered->second) {
+                        mutation.completed_seq = record.seq;
                         plan.ground_truth.push_back(std::move(mutation));
+                    }
                     buffered_gt.erase(buffered);
                 }
             }

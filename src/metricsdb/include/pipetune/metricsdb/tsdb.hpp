@@ -80,6 +80,9 @@ public:
     /// rebuilds through append(), so a loaded file passes the same checks.
     /// try_load is the Result-returning loader; load throws its error text.
     util::Json to_json() const;
+    /// to_json().dump(2), streamed straight into a string without building
+    /// a Json tree of every point; what save() writes.
+    std::string dump_json() const;
     static TimeSeriesDb from_json(const util::Json& json);
     void save(const std::string& path) const;
     static util::Result<TimeSeriesDb> try_load(const std::string& path);

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "pipetune/util/fs.hpp"
+
 namespace pipetune::metricsdb {
 
 namespace {
@@ -163,6 +165,53 @@ util::Json TimeSeriesDb::to_json() const {
     return json;
 }
 
+std::string TimeSeriesDb::dump_json() const {
+    // Mirrors Json::dump(2) of to_json(): two-space indent, keys in map
+    // order ("t" < "tags" < "v"), an empty series as [] and no "tags" key
+    // for an untagged point. Each tag set is encoded once and reused.
+    if (series_.empty()) return "{}";
+    std::vector<std::string> encoded_tags(tag_sets_.size());
+    for (std::size_t id = 0; id < tag_sets_.size(); ++id) {
+        const TagSet& tags = tag_sets_[id];
+        if (tags.empty()) continue;
+        std::string& out = encoded_tags[id];
+        out += "      \"tags\": {\n";
+        std::size_t k = 0;
+        for (const auto& [key, value] : tags) {
+            out += "        ";
+            util::append_json_string(out, key);
+            out += ": ";
+            util::append_json_string(out, value);
+            out += ++k < tags.size() ? ",\n" : "\n";
+        }
+        out += "      },\n";
+    }
+    std::string out = "{\n";
+    std::size_t n = 0;
+    for (const auto& [name, s] : series_) {
+        out += "  ";
+        util::append_json_string(out, name);
+        if (s.times.empty()) {
+            out += ": []";
+        } else {
+            out += ": [\n";
+            for (std::size_t i = 0; i < s.times.size(); ++i) {
+                out += "    {\n      \"t\": ";
+                util::append_json_number(out, s.times[i]);
+                out += ",\n";
+                out += encoded_tags[s.tag_ids[i]];
+                out += "      \"v\": ";
+                util::append_json_number(out, s.values[i]);
+                out += i + 1 < s.times.size() ? "\n    },\n" : "\n    }\n";
+            }
+            out += "  ]";
+        }
+        out += ++n < series_.size() ? ",\n" : "\n";
+    }
+    out += '}';
+    return out;
+}
+
 TimeSeriesDb TimeSeriesDb::from_json(const util::Json& json) {
     TimeSeriesDb db;
     for (const auto& [name, list] : json.as_object()) {
@@ -180,7 +229,9 @@ TimeSeriesDb TimeSeriesDb::from_json(const util::Json& json) {
     return db;
 }
 
-void TimeSeriesDb::save(const std::string& path) const { to_json().save_file(path); }
+void TimeSeriesDb::save(const std::string& path) const {
+    util::write_file_atomic(path, dump_json() + "\n");
+}
 
 util::Result<TimeSeriesDb> TimeSeriesDb::try_load(const std::string& path) {
     auto json = util::Json::try_load_file(path);

@@ -1,6 +1,6 @@
 #include "pipetune/sched/concurrent_service.hpp"
 
-#include <filesystem>
+#include "durable_state.hpp"
 
 #include "pipetune/core/warm_start.hpp"
 #include "pipetune/ft/errors.hpp"
@@ -22,6 +22,31 @@ SchedulerConfig scheduler_config(const core::ServiceOptions& options) {
     return config;
 }
 
+/// One job's view of the shared ground truth: forwards everything and keeps
+/// the entries the job records, which the job commits when it completes. It
+/// outlives retries, so a requeued job commits every attempt's records, as
+/// ft::Recovery replays them.
+class RecordingGroundTruth final : public core::GroundTruthStore {
+public:
+    explicit RecordingGroundTruth(core::GroundTruthStore& inner) : inner_(inner) {}
+    std::optional<workload::SystemParams> lookup(const std::vector<double>& features,
+                                                 double* score_out) const override {
+        return inner_.lookup(features, score_out);
+    }
+    void record(const std::vector<double>& features, const workload::SystemParams& best,
+                double metric) override {
+        inner_.record(features, best, metric);
+        recorded.push_back({features, best, metric});
+    }
+    std::size_t size() const override { return inner_.size(); }
+    bool model_ready() const override { return inner_.model_ready(); }
+
+    std::vector<core::GroundTruthEntry> recorded;
+
+private:
+    core::GroundTruthStore& inner_;
+};
+
 Priority to_sched_priority(core::SubmitPriority priority) {
     switch (priority) {
         case core::SubmitPriority::kHigh: return Priority::kHigh;
@@ -41,25 +66,26 @@ ConcurrentPipeTuneService::ConcurrentPipeTuneService(workload::Backend& backend,
       scheduler_(scheduler_config(options_)) {
     if (options_.obs != nullptr) {
         auto& registry = options_.obs->metrics();
-        obs_flush_total_ = &registry.counter("pipetune_metricsdb_flush_total", {},
-                                             "State flushes (ground truth + metrics db)");
+        obs_flush_total_ = &registry.counter(
+            "pipetune_metricsdb_flush_total", {},
+            "State-dir snapshots (ground truth + metrics db), written off the job path");
         obs_flush_seconds_ =
             &registry.histogram("pipetune_metricsdb_flush_seconds",
                                 {0.001, 0.005, 0.02, 0.1, 0.5, 2.0}, {},
-                                "Wall-clock latency of one state flush");
+                                "Wall-clock latency of one state-dir snapshot");
         obs_points_ =
             &registry.gauge("pipetune_metricsdb_points", {}, "Points in the metrics database");
         obs_jobs_served_ =
             &registry.counter("pipetune_service_jobs_served_total", {},
                               "HPT jobs run to completion by a tuning service");
     }
+    if (options_.journal != nullptr && options_.obs != nullptr)
+        options_.journal->attach_metrics(options_.obs->metrics());
     if (!options_.state_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(options_.state_dir, ec);
-        if (ec)
-            throw std::runtime_error("ConcurrentPipeTuneService: cannot create state dir '" +
-                                     options_.state_dir + "': " + ec.message());
-        state_.load(options_.state_dir, options_.pipetune.ground_truth);
+        durable_ = std::make_unique<DurableState>(
+            state_, options_.state_dir, options_.journal, options_.pipetune.ground_truth,
+            DurableState::Instruments{options_.obs, obs_flush_total_, obs_flush_seconds_,
+                                      obs_points_});
         if (state_.ground_truth_size() > 0)
             PT_LOG_INFO("sched").field("profiles", state_.ground_truth_size())
                 << "loaded shared ground truth from " << ground_truth_path();
@@ -72,6 +98,7 @@ ConcurrentPipeTuneService::ConcurrentPipeTuneService(workload::Backend& backend,
             core::build_warm_ground_truth(backend_, options_.warm_start_workloads, warm);
         for (const auto& entry : seeded.entries())
             state_.ground_truth().record(entry.features, entry.best_system, entry.metric);
+        if (durable_) durable_->commit_base(seeded.entries());
         PT_LOG_INFO("sched").field("profiles", state_.ground_truth_size())
             << "warm-start campaign finished";
     }
@@ -79,13 +106,19 @@ ConcurrentPipeTuneService::ConcurrentPipeTuneService(workload::Backend& backend,
 
 ConcurrentPipeTuneService::~ConcurrentPipeTuneService() {
     scheduler_.shutdown(true);
-    if (!options_.state_dir.empty()) {
+    if (durable_) {
+        durable_->stop_compactor();
         try {
             persist();
         } catch (const std::exception& e) {
             PT_LOG_ERROR("sched") << "final persist failed: " << e.what();
         }
     }
+}
+
+void ConcurrentPipeTuneService::drain() {
+    scheduler_.drain();
+    if (durable_) durable_->snapshot_if_dirty();
 }
 
 std::string ConcurrentPipeTuneService::ground_truth_path() const {
@@ -100,20 +133,19 @@ std::string ConcurrentPipeTuneService::metrics_path() const {
 }
 
 void ConcurrentPipeTuneService::persist() const {
-    if (options_.state_dir.empty() || crashed_.load(std::memory_order_acquire)) return;
-    const double start_s = options_.obs ? options_.obs->tracer().now_s() : 0.0;
-    state_.save(options_.state_dir);
-    if (options_.obs) {
-        obs_flush_total_->inc();
-        obs_flush_seconds_->observe(options_.obs->tracer().now_s() - start_s);
-        obs_points_->set(static_cast<double>(state_.metric_points()));
-    }
+    if (durable_) durable_->snapshot();
 }
 
 void ConcurrentPipeTuneService::seed_ground_truth(
     const std::vector<core::GroundTruthEntry>& entries) {
+    if (durable_ && !entries.empty() && entries == durable_->recovered()) {
+        PT_LOG_INFO("sched").field("entries", entries.size())
+            << "ground truth already recovered from the state dir and journal";
+        return;
+    }
     for (const core::GroundTruthEntry& entry : entries)
         state_.ground_truth().record(entry.features, entry.best_system, entry.metric);
+    if (durable_ && !entries.empty()) durable_->commit_base(entries);
     if (!entries.empty())
         PT_LOG_INFO("sched").field("entries", entries.size())
             << "ground truth seeded from recovery";
@@ -170,14 +202,17 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
     };
     auto settlement = std::make_shared<Settlement>();
     auto future = settlement->promise.get_future();
+    // With a state dir the job commits what it records when it completes.
+    auto recording =
+        durable_ ? std::make_shared<RecordingGroundTruth>(state_.ground_truth()) : nullptr;
 
     // The job body runs on a scheduler worker slot. Copies of the workload
     // and job config keep it self-contained; shared state is reached only
     // through the locked views. Exceptions PROPAGATE to the scheduler: a
     // transient failure under the service retry policy is requeued (same id,
     // front of its priority class) instead of reaching the DoneFn.
-    ClusterScheduler::JobFn run = [this, workload, job_config,
-                                   settlement](JobContext& ctx) mutable {
+    ClusterScheduler::JobFn run = [this, workload, job_config, settlement,
+                                   recording](JobContext& ctx) mutable {
         core::PipeTuneConfig pipetune = options_.pipetune;
         pipetune.metrics = &state_.metrics();
         pipetune.obs = options_.obs;
@@ -185,17 +220,21 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
         pipetune.journal_job_id = ctx.id();
         hpt::HptJobConfig job = job_config;
         job.obs = options_.obs;
-        auto result =
-            core::run_pipetune(backend_, workload, job, pipetune, &state_.ground_truth());
+        core::GroundTruthStore* store =
+            recording ? static_cast<core::GroundTruthStore*>(recording.get())
+                      : &state_.ground_truth();
+        auto result = core::run_pipetune(backend_, workload, job, pipetune, store);
         jobs_served_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.journal != nullptr) {
+        // The job's completion is durable before its future settles.
+        if (durable_) {
+            durable_->commit_job(ctx.id(), std::move(recording->recorded));
+        } else if (options_.journal != nullptr) {
             util::Json payload = util::Json::object();
             payload["job_id"] = ctx.id();
             (void)options_.journal->append(ft::record_type::kJobCompleted,
                                            std::move(payload));
         }
         if (obs_jobs_served_ != nullptr) obs_jobs_served_->inc();
-        if (options_.persist_after_each_job && !options_.state_dir.empty()) persist();
         PT_LOG_INFO("sched")
                 .field("workload", workload.name)
                 .field("hits", result.ground_truth_hits)
@@ -207,7 +246,7 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
     // A terminal failure (retries exhausted or non-transient) is journaled
     // and forwarded to the future as the original exception. A SimulatedCrash
     // models process death instead: a dead process writes nothing, neither a
-    // job_failed record nor state files (persist() is off from then on), so
+    // job_failed record nor state files (snapshots are off from then on), so
     // recovery re-runs the job from the journal against the state as of the
     // last completed job. A job that never produced a result was discarded
     // before running: the future reports why.
@@ -223,7 +262,7 @@ std::optional<core::TuningService::Submission> ConcurrentPipeTuneService::submit
             } catch (...) {
             }
             if (crashed) {
-                crashed_.store(true, std::memory_order_release);
+                if (durable_) durable_->mark_crashed();
             } else if (options_.journal != nullptr) {
                 util::Json payload = util::Json::object();
                 payload["job_id"] = info.id;

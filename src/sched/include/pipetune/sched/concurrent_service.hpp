@@ -21,8 +21,13 @@
 // nullopt. Every admitted job's future is settled in one place, the
 // scheduler's DoneFn, after the job shows as terminal in stats() and
 // job_timings(); SubmitOptions::on_settled runs right after.
+//
+// With a state_dir the service keeps it as a snapshot plus, with a journal,
+// the journal's tail (DESIGN.md §10). A job's completion is durable before
+// its future settles; the snapshot files are written off the worker slots.
 
 #include <future>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -40,11 +45,15 @@ public:
     explicit JobDiscarded(const std::string& what) : std::runtime_error(what) {}
 };
 
+class DurableState;
+
 class ConcurrentPipeTuneService final : public core::TuningService {
 public:
     /// `options.concurrency` (clamped to >= 1) sets the worker slots; the
     /// warm-start fields seed the shared store when no persisted state is
-    /// found.
+    /// found. A state_dir is loaded here: the manifest's prefix of its
+    /// ground truth plus, with a journal, the journal's completed jobs past
+    /// it.
     ConcurrentPipeTuneService(workload::Backend& backend, core::ServiceOptions options = {});
     /// Drains in-flight jobs, persists, joins the workers.
     ~ConcurrentPipeTuneService();
@@ -63,8 +72,9 @@ public:
     /// Cooperative cancel (see ClusterScheduler::cancel).
     bool cancel(std::uint64_t id) override { return scheduler_.cancel(id); }
     JobState state(std::uint64_t id) const { return scheduler_.state(id); }
-    /// Block until every submitted job is terminal.
-    void drain() override { scheduler_.drain(); }
+    /// Block until every submitted job is terminal, then snapshot the
+    /// state dir if anything was committed since the last snapshot.
+    void drain() override;
     /// Drop every still-queued job (stays journal-pending; see the interface
     /// contract) — the SIGTERM fast-drain hook used by net::TuningServer.
     std::size_t discard_queued() override { return scheduler_.discard_queued(); }
@@ -83,7 +93,10 @@ public:
     }
 
     /// Replay recovered ground-truth mutations (ft::Recovery) into the
-    /// shared store. Call before submitting resumed jobs.
+    /// shared store. Call before submitting resumed jobs. A service with a
+    /// state dir and a journal has already applied that journal's completed
+    /// jobs while loading, so seeding it with exactly those mutations (the
+    /// plan ft::Recovery yields for the same journal) changes nothing.
     void seed_ground_truth(const std::vector<core::GroundTruthEntry>& entries) override;
 
     /// Scheduler-native stats (richer than the interface's ServiceStats).
@@ -94,10 +107,10 @@ public:
     SharedClusterState& cluster_state() { return state_; }
     const ClusterScheduler& scheduler() const { return scheduler_; }
 
-    /// Snapshot + atomically rewrite the state files (also runs after every
-    /// job when persist_after_each_job is set, and on destruction). A no-op
-    /// once a job has died of an ft::SimulatedCrash: the modelled process is
-    /// dead, so the files keep the state of the last completed job.
+    /// Write a snapshot of the state dir now, on the calling thread (also
+    /// runs on destruction). A no-op without a state dir, and once a job has
+    /// died of an ft::SimulatedCrash: the modelled process is dead, so the
+    /// files keep what the last snapshot before the crash wrote.
     void persist() const override;
     std::string ground_truth_path() const override;
     std::string metrics_path() const override;
@@ -109,7 +122,6 @@ private:
     SerializedBackend backend_;
     SharedClusterState state_;
     std::atomic<std::size_t> jobs_served_{0};
-    std::atomic<bool> crashed_{false};  ///< a job died of ft::SimulatedCrash
     // Instrument references cached at construction (the obs pattern,
     // DESIGN.md §12): the per-job and per-flush paths must not pay a
     // registry lookup. Null when options_.obs is null.
@@ -117,7 +129,8 @@ private:
     obs::Histogram* obs_flush_seconds_ = nullptr;
     obs::Gauge* obs_points_ = nullptr;
     obs::Counter* obs_jobs_served_ = nullptr;
-    ClusterScheduler scheduler_;  ///< after state_: jobs reference it
+    std::unique_ptr<DurableState> durable_;  ///< null without a state_dir
+    ClusterScheduler scheduler_;  ///< after state_ and durable_: jobs reference them
 };
 
 }  // namespace pipetune::sched

@@ -10,9 +10,10 @@
 //    shared_ptr to an immutable GroundTruth under a dedicated micro-mutex
 //    whose critical section is just the refcount bump — never the store
 //    mutation, the O(n) copy-on-write, or serialization, which all happen
-//    outside it. record()/load() mutate the master under the write lock and
-//    republish a fresh snapshot (records are rare, one per finished
-//    campaign, while lookups happen on every trial of every queued job).
+//    outside it. record()/set_ground_truth() mutate the master under the
+//    write lock and republish a fresh snapshot (records are rare, one per
+//    finished campaign, while lookups happen on every trial of every queued
+//    job).
 //    (A std::atomic<shared_ptr> would make this fully lock-free, but GCC's
 //    implementation synchronizes through pointer-bit spinlocks that
 //    ThreadSanitizer cannot see; the micro-mutex is tsan-clean.)
@@ -21,7 +22,7 @@
 // Writers keep the original discipline:
 //  - Each of the two stores has its own std::shared_mutex; they are never
 //    held together, so lock ordering is a non-issue.
-//  - record / append / load take unique locks; whole-store snapshots
+//  - record / append / set_* take unique locks; whole-store snapshots
 //    (metrics_snapshot / save) take shared locks.
 //  - The metrics view additionally clamps pseudo-times per series under the
 //    write lock, up to the series' last stored time: concurrent jobs each
@@ -63,10 +64,14 @@ public:
     core::GroundTruth ground_truth_snapshot() const;
     metricsdb::TimeSeriesDb metrics_snapshot() const;
 
-    /// Replace contents from persisted files under `state_dir` when present.
-    void load(const std::string& state_dir, const core::GroundTruthConfig& config = {});
-    /// Persist both stores under `state_dir` (atomic temp-file + rename per
-    /// file). Snapshots under shared locks, writes outside them.
+    /// Replace the stores' contents (a service loading its state dir).
+    void set_ground_truth(core::GroundTruth truth);
+    void set_metrics(metricsdb::TimeSeriesDb metrics);
+
+    /// Persist both live stores under `state_dir` (atomic temp-file + rename
+    /// per file). Copies under shared locks, serializes and writes outside
+    /// them. A service's state dir is written by its own snapshots instead
+    /// (DESIGN.md §10), from committed entries only.
     void save(const std::string& state_dir) const;
 
     static std::string ground_truth_path(const std::string& state_dir);

@@ -86,28 +86,17 @@ std::string SharedClusterState::metrics_path(const std::string& state_dir) {
     return state_dir.empty() ? std::string() : state_dir + "/metrics.json";
 }
 
-void SharedClusterState::load(const std::string& state_dir,
-                              const core::GroundTruthConfig& config) {
-    if (state_dir.empty()) return;
-    std::error_code ec;
-    if (std::filesystem::exists(ground_truth_path(state_dir), ec)) {
-        auto loaded = core::GroundTruth::try_load(ground_truth_path(state_dir), config);
-        if (!loaded)
-            throw std::runtime_error("SharedClusterState::load: " + loaded.error());
-        std::unique_lock lock(truth_mutex_);
-        truth_ = std::move(loaded).value();
-        republish_truth_locked();
-        refresh_truth_stats_locked();
-    }
-    if (std::filesystem::exists(metrics_path(state_dir), ec)) {
-        auto result = metricsdb::TimeSeriesDb::try_load(metrics_path(state_dir));
-        if (!result)
-            throw std::runtime_error("SharedClusterState::load: " + result.error());
-        auto loaded = std::move(result).value();
-        std::unique_lock lock(metrics_mutex_);
-        metrics_ = std::move(loaded);
-        refresh_metrics_stats_locked();
-    }
+void SharedClusterState::set_ground_truth(core::GroundTruth truth) {
+    std::unique_lock lock(truth_mutex_);
+    truth_ = std::move(truth);
+    republish_truth_locked();
+    refresh_truth_stats_locked();
+}
+
+void SharedClusterState::set_metrics(metricsdb::TimeSeriesDb metrics) {
+    std::unique_lock lock(metrics_mutex_);
+    metrics_ = std::move(metrics);
+    refresh_metrics_stats_locked();
 }
 
 void SharedClusterState::save(const std::string& state_dir) const {
@@ -118,15 +107,9 @@ void SharedClusterState::save(const std::string& state_dir) const {
         throw std::runtime_error("SharedClusterState::save: cannot create '" + state_dir +
                                  "': " + ec.message());
     // Ground truth serializes from the RCU snapshot (no lock at all); the
-    // metrics copy is taken under a shared lock, written outside it.
-    const auto truth_snap = truth_snapshot_ptr();
-    util::Json truth_json = truth_snap->to_json();
-    util::Json metrics_json = [this] {
-        std::shared_lock lock(metrics_mutex_);
-        return metrics_.to_json();
-    }();
-    truth_json.save_file(ground_truth_path(state_dir));
-    metrics_json.save_file(metrics_path(state_dir));
+    // metrics store is copied under a shared lock and written outside it.
+    truth_snapshot_ptr()->save(ground_truth_path(state_dir));
+    metrics_snapshot().save(metrics_path(state_dir));
 }
 
 std::optional<workload::SystemParams> SharedClusterState::LockedGroundTruth::lookup(

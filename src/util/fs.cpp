@@ -16,7 +16,13 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
-/// write(2) the whole buffer, retrying short writes and EINTR.
+std::string parent_of(const std::string& path) {
+    const std::string dir = std::filesystem::path(path).parent_path().string();
+    return dir.empty() ? std::string(".") : dir;
+}
+
+}  // namespace
+
 bool write_all(int fd, const char* data, std::size_t size) {
     while (size > 0) {
         const ssize_t n = ::write(fd, data, size);
@@ -29,13 +35,6 @@ bool write_all(int fd, const char* data, std::size_t size) {
     }
     return true;
 }
-
-std::string parent_of(const std::string& path) {
-    const std::string dir = std::filesystem::path(path).parent_path().string();
-    return dir.empty() ? std::string(".") : dir;
-}
-
-}  // namespace
 
 Result<void> fsync_parent_dir(const std::string& path) {
     const std::string dir = parent_of(path);
@@ -98,27 +97,6 @@ Result<void> try_write_file_atomic(const std::string& path, const std::string& c
 void write_file_atomic(const std::string& path, const std::string& contents) {
     const auto result = try_write_file_atomic(path, contents);
     if (!result) throw std::runtime_error(result.error());
-}
-
-Result<void> append_file_durable(const std::string& path, const std::string& data) {
-    if (path.empty()) return Result<void>::failure("append_file_durable: empty path");
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd < 0)
-        return Result<void>::failure("append_file_durable: cannot open " + path + ": " +
-                                     errno_text());
-    if (!write_all(fd, data.data(), data.size())) {
-        const std::string error = errno_text();
-        ::close(fd);
-        return Result<void>::failure("append_file_durable: write failed for " + path + ": " +
-                                     error);
-    }
-    const bool synced = ::fsync(fd) == 0;
-    const std::string error = synced ? std::string() : errno_text();
-    ::close(fd);
-    if (!synced)
-        return Result<void>::failure("append_file_durable: fsync failed for " + path + ": " +
-                                     error);
-    return Result<void>::success();
 }
 
 }  // namespace pipetune::util

@@ -1,9 +1,9 @@
 #pragma once
 // Small filesystem helpers shared by everything that persists state. The one
 // that matters is write_file_atomic: state files (ground_truth.json,
-// metrics.json, journal segments, bench CSVs) must never be observable
-// half-written, so writes go to a temp file in the same directory followed by
-// an atomic rename. Durability matters too: the temp file is fsync'd before
+// metrics.json, bench CSVs) must never be observable half-written, so
+// writes go to a temp file in the same directory followed by an atomic
+// rename. Durability matters too: the temp file is fsync'd before
 // the rename and the parent directory is fsync'd after it, so a power cut
 // immediately after a reported success cannot lose the new contents (a rename
 // alone only orders the data against the metadata on some filesystems).
@@ -27,10 +27,9 @@ Result<void> try_write_file_atomic(const std::string& path, const std::string& c
 /// the same message).
 void write_file_atomic(const std::string& path, const std::string& contents);
 
-/// Append `data` to the file at `path` (creating it if needed) and fsync it
-/// before returning — the write-ahead-journal primitive: once this reports
-/// success the record survives a crash. Returns the failure reason on error.
-Result<void> append_file_durable(const std::string& path, const std::string& data);
+/// write(2) all `size` bytes to `fd`, retrying short writes and EINTR.
+/// False (errno set) on error; the bytes written before it stay written.
+bool write_all(int fd, const char* data, std::size_t size);
 
 /// fsync the directory containing `path` so a previously renamed/created
 /// entry is durable. No-op success when the platform cannot open directories.

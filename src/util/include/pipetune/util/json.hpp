@@ -100,4 +100,11 @@ private:
     void dump_to(std::string& out, int indent, int depth) const;
 };
 
+/// The serializer's scalar encoders, for writers that stream a large
+/// document straight into a string instead of building a Json tree first
+/// (metricsdb::TimeSeriesDb::dump_json). The bytes equal what dump() emits
+/// for the same value.
+void append_json_string(std::string& out, const std::string& s);
+void append_json_number(std::string& out, double d);
+
 }  // namespace pipetune::util

@@ -166,6 +166,9 @@ void format_number(double d, std::string& out) {
 
 }  // namespace
 
+void append_json_string(std::string& out, const std::string& s) { escape_string(s, out); }
+void append_json_number(std::string& out, double d) { format_number(d, out); }
+
 void Json::dump_to(std::string& out, int indent, int depth) const {
     const std::string pad = indent >= 0 ? std::string(static_cast<std::size_t>(indent) * (depth + 1), ' ') : "";
     const std::string closing_pad = indent >= 0 ? std::string(static_cast<std::size_t>(indent) * depth, ' ') : "";
@@ -428,7 +431,7 @@ Json Json::parse(const std::string& text) { return std::move(try_parse(text)).va
 
 void Json::save_file(const std::string& path) const {
     // Temp-file + rename so a crash mid-write cannot corrupt persisted state
-    // (ground_truth.json / metrics.json are rewritten after every job).
+    // (a service's snapshot files are rewritten whole by each compaction).
     write_file_atomic(path, dump(2) + "\n");
 }
 

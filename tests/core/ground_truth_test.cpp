@@ -19,6 +19,46 @@ std::vector<double> family_vector(int family, util::Rng& rng) {
     return v;
 }
 
+/// Same entries, labels and decisions — the observable state of a store.
+void expect_same_store(const GroundTruth& want, const GroundTruth& got, util::Rng& rng) {
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.model_ready(), want.model_ready());
+    EXPECT_EQ(got.entry_clusters(), want.entry_clusters());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(got.entries()[i].features, want.entries()[i].features);
+    for (int q = 0; q < 8; ++q) {
+        const auto query = family_vector(q % 2, rng);
+        double want_score = -1.0;
+        double got_score = -2.0;
+        const auto want_hit = want.lookup(query, &want_score);
+        const auto got_hit = got.lookup(query, &got_score);
+        EXPECT_EQ(got_hit, want_hit);
+        EXPECT_EQ(got_score, want_score);
+    }
+}
+
+// A reloaded store must decide exactly as the live one that wrote it: its
+// model is fitted where record() last refit, not on every entry.
+TEST(GroundTruth, FromEntriesEqualsRecordingOneByOne) {
+    for (const std::size_t interval : {1u, 3u, 4u}) {
+        GroundTruthConfig config;
+        config.refit_interval = interval;
+        GroundTruth live(config);
+        util::Rng rng(11);
+        for (std::size_t n = 0; n <= 19; ++n) {
+            SCOPED_TRACE("interval " + std::to_string(interval) + ", n " + std::to_string(n));
+            util::Rng queries(100 + n);
+            GroundTruth rebuilt = GroundTruth::from_entries(live.entries(), config);
+            expect_same_store(live, rebuilt, queries);
+            // The refit countdown carries over too: one more record each.
+            const auto next = family_vector(static_cast<int>(n % 2), rng);
+            live.record(next, {.cores = 2 + n, .memory_gb = 8}, 1.0 + n);
+            rebuilt.record(next, {.cores = 2 + n, .memory_gb = 8}, 1.0 + n);
+            expect_same_store(live, rebuilt, queries);
+        }
+    }
+}
+
 TEST(GroundTruth, EmptyStoreNeverMatches) {
     GroundTruth gt;
     double score = 1.0;

@@ -1,15 +1,18 @@
 // Write-ahead journal tests (DESIGN.md §10): durable append, checksummed
-// read, and — the property the format exists for — tolerance of a torn tail
-// at EVERY byte offset.
+// read, group commit of the lifecycle records, and — the property the format
+// exists for — tolerance of a torn tail at EVERY byte offset.
 
 #include "pipetune/ft/journal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -222,6 +225,86 @@ TEST(Journal, ChecksumCoversSeqTypeAndPayload) {
     EXPECT_NE(base, Journal::checksum(1, "job_completed", "{}"));
     EXPECT_NE(base, Journal::checksum(1, "job_submitted", "{\"a\":1}"));
     EXPECT_EQ(base, Journal::checksum(1, "job_submitted", "{}"));
+}
+
+TEST(Journal, OnlyLifecycleRecordsAreBarriers) {
+    EXPECT_TRUE(Journal::is_barrier(record_type::kJobSubmitted));
+    EXPECT_TRUE(Journal::is_barrier(record_type::kJobCompleted));
+    EXPECT_TRUE(Journal::is_barrier(record_type::kJobFailed));
+    EXPECT_FALSE(Journal::is_barrier(record_type::kTrialStarted));
+    EXPECT_FALSE(Journal::is_barrier(record_type::kEpochCompleted));
+    EXPECT_FALSE(Journal::is_barrier(record_type::kTrialFinished));
+    EXPECT_FALSE(Journal::is_barrier(record_type::kGtRecord));
+}
+
+TEST(Journal, AppendReturnsTheSeqAndBarriersReturnDurable) {
+    TempDir dir;
+    Journal journal(dir.file("j.log"));
+    EXPECT_EQ(journal.durable_seq(), 0u);
+    auto epoch = journal.append(record_type::kEpochCompleted, payload_with_id(1));
+    ASSERT_TRUE(epoch.ok()) << epoch.error();
+    EXPECT_EQ(epoch.value(), 1u);
+    EXPECT_EQ(journal.durable_seq(), 0u);  // buffered: written, not yet synced
+    auto done = journal.append(record_type::kJobCompleted, payload_with_id(1));
+    ASSERT_TRUE(done.ok()) << done.error();
+    EXPECT_EQ(done.value(), 2u);
+    EXPECT_GE(journal.durable_seq(), 2u);  // the barrier's fsync covers both
+    EXPECT_EQ(journal.bytes_written(), slurp(journal.path()).size());
+    // A handle reopened on the file counts what it found as durable.
+    Journal reopened(journal.path());
+    EXPECT_EQ(reopened.durable_seq(), 2u);
+    EXPECT_TRUE(reopened.sync(100).ok());  // past the end: nothing to wait for
+}
+
+// Group commit under contention: 8 threads append barrier and buffered
+// records at once. Every barrier returns with the durable seq at or past its
+// own; the file reads back as seqs 1..N, all canonical; and no barrier led
+// more than one fsync (under contention they share them).
+TEST(Journal, ConcurrentAppendsStayContiguousAndBarriersDurable) {
+    TempDir dir;
+    obs::MetricsRegistry registry;
+    Journal journal(dir.file("j.log"));
+    journal.attach_metrics(registry);
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 40;
+    std::atomic<int> violations{0};
+    std::atomic<int> failures{0};
+    std::atomic<int> barriers{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const bool barrier = (i + t) % 3 == 0;
+                const char* type =
+                    barrier ? record_type::kJobCompleted : record_type::kEpochCompleted;
+                auto seq = journal.append(type, payload_with_id(t * 1000 + i));
+                if (!seq.ok()) {
+                    ++failures;
+                    continue;
+                }
+                if (barrier) {
+                    ++barriers;
+                    if (journal.durable_seq() < seq.value()) ++violations;
+                }
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(violations.load(), 0);
+
+    constexpr std::uint64_t kTotal = kThreads * kPerThread;
+    EXPECT_EQ(journal.last_seq(), kTotal);
+    auto read = Journal::read(journal.path());
+    ASSERT_TRUE(read.ok()) << read.error();
+    EXPECT_FALSE(read.value().truncated_tail);
+    ASSERT_EQ(read.value().records.size(), kTotal);
+    for (std::uint64_t i = 0; i < kTotal; ++i)
+        EXPECT_EQ(read.value().records[i].seq, i + 1);
+    EXPECT_EQ(registry.counter("pipetune_ft_journal_records_total").value(), kTotal);
+    const auto fsyncs = registry.counter("pipetune_ft_journal_fsyncs_total").value();
+    EXPECT_GE(fsyncs, 1u);
+    EXPECT_LE(fsyncs, static_cast<std::uint64_t>(barriers.load()));
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 
 #include <unistd.h>
 
+#include "pipetune/cluster/cluster_sim.hpp"
+#include "pipetune/core/tuning_service.hpp"
 #include "pipetune/ft/codec.hpp"
 
 namespace pipetune::ft {
@@ -198,6 +200,68 @@ TEST(Recovery, UnknownRecordTypesAreSkipped) {
     EXPECT_EQ(plan.value().records_read, 3u);
     ASSERT_EQ(plan.value().jobs.size(), 1u);
     EXPECT_TRUE(plan.value().jobs[0].completed);
+}
+
+TEST(Recovery, MutationsCarryTheirJobsCompletionSeq) {
+    TempDir dir;
+    const std::string path = dir.file("j.log");
+    {
+        Journal journal(path);
+        ASSERT_TRUE(journal.append(record_type::kGtRecord, gt_record(2, 1.0, 10.0)).ok());
+        ASSERT_TRUE(journal.append(record_type::kGtRecord, gt_record(1, 2.0, 20.0)).ok());
+        ASSERT_TRUE(journal.append(record_type::kJobCompleted, terminal(1)).ok());  // seq 3
+        ASSERT_TRUE(journal.append(record_type::kJobCompleted, terminal(2)).ok());  // seq 4
+    }
+    auto plan = Recovery::analyze(path);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    // Job by job in completion order, each stamped with its completion seq.
+    ASSERT_EQ(plan.value().ground_truth.size(), 2u);
+    EXPECT_EQ(plan.value().ground_truth[0].job_id, 1u);
+    EXPECT_EQ(plan.value().ground_truth[0].completed_seq, 3u);
+    EXPECT_EQ(plan.value().ground_truth[1].job_id, 2u);
+    EXPECT_EQ(plan.value().ground_truth[1].completed_seq, 4u);
+}
+
+// An unseen job (cluster::generate_arrivals perturbs the workload's name,
+// dataset and memory scale) is journaled whole, so resume rebuilds exactly
+// the workload that ran; a catalogue workload is journaled by name alone.
+TEST(Recovery, PerturbedWorkloadsRoundTripThroughTheSubmitPayload) {
+    TempDir dir;
+    const std::string path = dir.file("j.log");
+    cluster::ArrivalConfig arrivals;
+    arrivals.job_count = 6;
+    arrivals.unseen_fraction = 1.0;
+    const auto jobs = cluster::generate_arrivals(workload::catalogue(), arrivals);
+    {
+        Journal journal(path);
+        std::uint64_t id = 0;
+        for (const auto& job : jobs)
+            ASSERT_TRUE(journal
+                            .append(record_type::kJobSubmitted,
+                                    core::journal_submit_payload(++id, job.workload.name,
+                                                                 job.workload, {}, {}))
+                            .ok());
+        ASSERT_TRUE(journal
+                        .append(record_type::kJobSubmitted,
+                                core::journal_submit_payload(++id, "plain",
+                                                             workload::catalogue()[0], {}, {}))
+                        .ok());
+    }
+    auto plan = Recovery::analyze(path);
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    const auto pending = plan.value().pending_jobs();
+    ASSERT_EQ(pending.size(), jobs.size() + 1);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_TRUE(jobs[i].unseen);
+        EXPECT_THROW((void)workload::find_workload(pending[i].workload), std::invalid_argument);
+        const workload::Workload rebuilt = core::workload_from_journal(pending[i].submit);
+        EXPECT_EQ(workload_to_json(rebuilt), workload_to_json(jobs[i].workload)) << i;
+        EXPECT_TRUE(pending[i].submit.contains("workload_spec")) << i;
+    }
+    const util::Json& plain = pending.back().submit;
+    EXPECT_FALSE(plain.contains("workload_spec"));
+    EXPECT_EQ(workload_to_json(core::workload_from_journal(plain)),
+              workload_to_json(workload::catalogue()[0]));
 }
 
 }  // namespace

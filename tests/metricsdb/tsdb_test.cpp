@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+
+#include <unistd.h>
 
 #include "pipetune/metricsdb/tsdb.hpp"
 #include "pipetune/util/rng.hpp"
@@ -165,6 +168,20 @@ TEST(TimeSeriesDb, ToJsonIsByteStable) {
 })json";
     EXPECT_EQ(db.to_json().dump(2), golden);
     EXPECT_EQ(TimeSeriesDb::from_json(util::Json::parse(golden)).to_json().dump(2), golden);
+    // The streamed writer and the file save() leaves hold the same bytes.
+    EXPECT_EQ(db.dump_json(), golden);
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("pt_tsdb_golden_" + std::to_string(::getpid()) + ".json");
+    db.save(path.string());
+    std::ifstream in(path, std::ios::binary);
+    const std::string saved((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    EXPECT_EQ(saved, golden + "\n");
+    EXPECT_EQ(TimeSeriesDb().dump_json(), TimeSeriesDb().to_json().dump(2));
+    // An empty series, an escaped name and non-integral numbers.
+    const TimeSeriesDb odd = TimeSeriesDb::from_json(
+        util::Json::parse(R"({"a": [], "b\"q": [{"t": 1e300, "v": -0.1}]})"));
+    EXPECT_EQ(odd.dump_json(), odd.to_json().dump(2));
 }
 
 /// select()-based reference aggregates: what mean/last/count computed before

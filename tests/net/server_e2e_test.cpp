@@ -220,7 +220,6 @@ TEST(ServerE2eTest, StatusRightAfterEach200ShowsTheJobTerminal) {
     core::ServiceOptions options;
     options.concurrency = 2;
     options.queue_capacity = 16;
-    options.persist_after_each_job = false;
     sched::ConcurrentPipeTuneService service(backend, options);
     net::ServerConfig config;
     config.service = &service;

@@ -77,7 +77,6 @@ TEST(ServerShutdownTest, FastStopAnswersEveryClientAndOutlivesNoCallback) {
     options.concurrency = 1;  // one slot: the first job runs, the rest queue
     options.queue_capacity = 16;
     options.reject_when_full = true;
-    options.persist_after_each_job = false;
     auto service = std::make_unique<sched::ConcurrentPipeTuneService>(backend, options);
     net::ServerConfig config;
     config.service = service.get();

@@ -125,7 +125,6 @@ core::ServiceOptions concurrent_options(std::size_t queue_capacity = 8) {
     core::ServiceOptions options;
     options.concurrency = 1;  // one slot: a held job keeps the rest queued
     options.queue_capacity = queue_capacity;
-    options.persist_after_each_job = false;
     return options;
 }
 

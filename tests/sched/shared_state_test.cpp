@@ -132,7 +132,8 @@ TEST(SharedClusterState, SaveLoadRoundTrip) {
         state.save(dir);
     }
     SharedClusterState restored;
-    restored.load(dir);
+    restored.set_ground_truth(core::GroundTruth::load(SharedClusterState::ground_truth_path(dir)));
+    restored.set_metrics(metricsdb::TimeSeriesDb::load(SharedClusterState::metrics_path(dir)));
     EXPECT_EQ(restored.ground_truth_size(), 1u);
     EXPECT_EQ(restored.metric_points(), 1u);
     // Atomic writes leave no temp droppings behind.
@@ -154,8 +155,8 @@ TEST(SharedClusterState, LoadedStateClampsNextAppendToLastPersistedTime) {
         state.save(dir);
     }
     SharedClusterState restored;
-    restored.metrics().append("epoch_duration", 99.0, 1.0, {});  // replaced by load()
-    restored.load(dir);
+    restored.metrics().append("epoch_duration", 99.0, 1.0, {});  // replaced by set_metrics()
+    restored.set_metrics(metricsdb::TimeSeriesDb::load(SharedClusterState::metrics_path(dir)));
     restored.metrics().append("epoch_duration", 3.0, 2.0, {});
     restored.metrics().append("epoch_energy", 9.0, 2.0, {});  // already past: kept as is
     restored.metrics().append("epoch_accuracy", 0.5, 2.0, {});  // new series: kept as is

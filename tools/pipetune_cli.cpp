@@ -610,6 +610,8 @@ int cmd_resume(const util::Args& args) {
     // one after another. Each is submitted under its original id.
     sched::ConcurrentPipeTuneService service(backend, service_options);
 
+    // With --state-dir the service has already loaded the completed jobs'
+    // entries (its snapshot plus the journal's tail) and ignores this seed.
     std::vector<core::GroundTruthEntry> recovered;
     recovered.reserve(plan.ground_truth.size());
     for (const ft::RecoveredGtMutation& mutation : plan.ground_truth)
@@ -624,7 +626,6 @@ int cmd_resume(const util::Args& args) {
                       << ": no job_submitted record in the journal, skipping\n";
             continue;
         }
-        const auto& workload = workload::find_workload(job.workload);
         auto submit_options = core::submit_options_from_journal(job.submit);
         // Re-run under the original id: its journal completion record is what
         // marks the pending job terminal, making resume idempotent.
@@ -635,8 +636,11 @@ int cmd_resume(const util::Args& args) {
                               ? submit_options.backend_seed
                               : ft::ReseedingBackend::job_seed(1, job.job_id));
         try {
-            const auto result = service.run(
-                workload, core::job_config_from_journal(job.submit), submit_options);
+            // Inside the try: a workload this build cannot rebuild fails
+            // its job, not the whole resume.
+            const auto result = service.run(core::workload_from_journal(job.submit),
+                                            core::job_config_from_journal(job.submit),
+                                            submit_options);
             ++resumed;
             table.add_row({std::to_string(job.job_id), job.workload, "completed",
                            util::Table::num(result.baseline.final_accuracy, 2),
