@@ -5,7 +5,14 @@
 // parity suite asserts exact equality), so this measures pure throughput,
 // not an accuracy trade.
 //
-// A second section times the per-job middleware operations whose cost must
+// A second section times one training epoch at 1 and at 2 workers on
+// sim::RealBackend's shapes (LeNet on 20x20 images, the LSTM on 16-token
+// sequences with an 8-wide embedding, trainer batch 16): what the worker
+// team, the split evaluation and the GEMM column paths buy a real epoch
+// (DESIGN.md §12 "Real epochs"). It is reported, not gated: the speedup
+// depends on how many cores the host can spare.
+//
+// A third section times the per-job middleware operations whose cost must
 // not grow with uptime: a ground-truth lookup at 16/256/1024 entries and the
 // metrics store's unfiltered count() (the policy's pseudo-clock) at 160k
 // points.
@@ -17,6 +24,7 @@
 
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -98,6 +106,28 @@ nn::Trainer make_trainer(const data::TrainTestPair& split) {
     trainer_config.sgd.learning_rate = 0.05;
     return nn::Trainer(nn::build_lenet5(model_config), *split.train, *split.test,
                        trainer_config);
+}
+
+/// One epoch of a fresh model per side, 1 worker vs 2, repetitions
+/// interleaved; speedup is the ratio of the per-side minima.
+template <typename Build>
+Comparison compare_workers(std::string name, const data::TrainTestPair& split, Build build) {
+    auto make = [&] {
+        nn::TrainerConfig config;
+        config.batch_size = 16;
+        config.sgd.learning_rate = 0.05;
+        config.sgd.momentum = 0.9;
+        return nn::Trainer(build(), *split.train, *split.test, config);
+    };
+    nn::Trainer one = make();
+    nn::Trainer two = make();
+    Comparison result;
+    result.name = std::move(name);
+    std::tie(result.before, result.after) = bench::measure_paired(
+        [&] { one.run_epoch(1); }, [&] { two.run_epoch(2); }, /*repetitions=*/9,
+        /*inner_iterations=*/1);
+    result.speedup = result.after.min_s > 0.0 ? result.before.min_s / result.after.min_s : 0.0;
+    return result;
 }
 
 std::string ms(double seconds) { return util::Table::num(1e3 * seconds, 3); }
@@ -199,6 +229,46 @@ int main() {
         // the AVX2 build, so record the skip instead of a fake pass/fail.
         doc["kernels"] = "skipped: host lacks AVX2";
         std::cout << "kernel substrate skipped: host lacks AVX2\n";
+    }
+
+    {
+        data::ImageDatasetConfig image;
+        image.classes = 6;
+        image.samples = 192;
+        image.image_size = 20;
+        image.seed = 5;
+        const auto images = data::make_image_split(image, "mnist", 64);
+        data::TextDatasetConfig text;
+        text.classes = 6;
+        text.samples = 192;
+        text.vocab_size = 400;
+        text.seq_len = 16;
+        text.topic_strength = 0.7;
+        text.seed = 6;
+        const auto texts = data::make_text_split(text, "news20", 64);
+        const auto lenet = compare_workers("epoch_lenet", images, [] {
+            nn::ImageModelConfig config;
+            config.image_size = 20;
+            config.classes = 6;
+            return nn::build_lenet5(config);
+        });
+        const auto lstm = compare_workers("epoch_lstm", texts, [] {
+            nn::TextModelConfig config;
+            config.vocab_size = 400;
+            config.seq_len = 16;
+            config.classes = 6;
+            config.embedding_dim = 8;
+            return nn::build_lstm_classifier(config);
+        });
+        util::Table workers({"epoch", "1 worker p50 ms", "2 workers p50 ms", "speedup"});
+        util::Json workers_doc = util::Json::object();
+        for (const auto* c : {&lenet, &lstm}) {
+            workers.add_row({c->name, ms(c->before.p50_s), ms(c->after.p50_s),
+                             util::Table::num(c->speedup, 2) + "x"});
+            workers_doc[c->name] = c->to_json("workers_1", "workers_2");
+        }
+        std::cout << workers.render() << "\n";
+        doc["workers"] = std::move(workers_doc);
     }
 
     // Per-job middleware operations, timed on the code as it is: these are

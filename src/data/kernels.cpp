@@ -6,13 +6,13 @@
 #include <stdexcept>
 
 #include "pipetune/util/rng.hpp"
-#include "pipetune/util/thread_pool.hpp"
+#include "pipetune/util/worker_team.hpp"
 
 namespace pipetune::data {
 
 namespace {
-// Kernels are compute-bound and called with small worker counts; a shared
-// pool would serialize across kernels, so each iteration spins its own.
+// Row blocks fan out on the calling thread's worker team, so an iteration
+// costs no thread start-up and a slot holds at most workers - 1 helpers.
 void parallel_rows(std::size_t workers, std::size_t rows,
                    const std::function<void(std::size_t, std::size_t)>& body) {
     workers = std::max<std::size_t>(1, workers);
@@ -20,9 +20,8 @@ void parallel_rows(std::size_t workers, std::size_t rows,
         body(0, rows);
         return;
     }
-    util::ThreadPool pool(workers);
     const std::size_t chunk = (rows + workers - 1) / workers;
-    pool.parallel_for(workers, [&](std::size_t w) {
+    util::fan_out(workers, [&](std::size_t w) {
         const std::size_t begin = w * chunk;
         const std::size_t end = std::min(begin + chunk, rows);
         if (begin < end) body(begin, end);

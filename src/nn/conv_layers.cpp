@@ -35,6 +35,14 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
     return std::move(grads.grad_input);
 }
 
+void Conv2D::backward_params_only(const Tensor& grad_output) {
+    if (cached_input_.empty()) throw std::runtime_error("Conv2D::backward before forward");
+    auto grads = tensor::conv2d_backward(cached_input_, kernel_, grad_output,
+                                         /*input_grad=*/false);
+    grad_kernel_ += grads.grad_kernel;
+    grad_bias_ += grads.grad_bias;
+}
+
 std::unique_ptr<Layer> Conv2D::clone() const { return std::make_unique<Conv2D>(*this); }
 
 MaxPool2D::MaxPool2D(std::size_t window) : window_(window) {

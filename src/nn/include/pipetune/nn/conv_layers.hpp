@@ -18,6 +18,8 @@ public:
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    /// Skips the input-gradient GEMM and col2im scatter (LeNet's conv1).
+    void backward_params_only(const Tensor& grad_output) override;
     std::vector<Tensor*> params() override { return {&kernel_, &bias_}; }
     std::vector<Tensor*> grads() override { return {&grad_kernel_, &grad_bias_}; }
     std::string name() const override { return "Conv2D"; }

@@ -30,6 +30,11 @@ public:
     /// Must be called after forward() on the same input.
     virtual Tensor backward(const Tensor& grad_output) = 0;
 
+    /// backward() for a layer whose input gradient nobody reads (a model's
+    /// first layer): accumulate the parameter grads only. A layer whose input
+    /// gradient costs real work overrides this to skip it.
+    virtual void backward_params_only(const Tensor& grad_output) { (void)backward(grad_output); }
+
     /// Trainable parameters and their gradient buffers, index-aligned.
     virtual std::vector<Tensor*> params() { return {}; }
     virtual std::vector<Tensor*> grads() { return {}; }

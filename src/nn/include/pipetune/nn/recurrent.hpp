@@ -53,15 +53,15 @@ private:
     Tensor bias_;      ///< (4H), forget-gate slice initialized to 1
     Tensor grad_w_input_, grad_w_recur_, grad_bias_;
 
-    // Per-timestep caches from the last forward pass.
-    struct StepCache {
-        Tensor x;      ///< (B, D)
-        Tensor gates;  ///< (B, 4H) post-activation [i, f, g, o]
-        Tensor c;      ///< (B, H) cell state after this step
-        Tensor h;      ///< (B, H) hidden after this step
-    };
-    std::vector<StepCache> steps_;
+    // Caches from the last forward pass, time-major: row t * B + b holds
+    // sample b at step t, so one step is a contiguous (B, .) block and the
+    // input-side GEMMs run once over all seq * B rows.
+    Tensor x_;      ///< (S*B, D) the input
+    Tensor gates_;  ///< (S*B, 4H) post-activation [i, f, g, o]
+    Tensor c_;      ///< ((S+1)*B, H) cell states; block 0 is the zero initial state
+    Tensor h_;      ///< ((S+1)*B, H) hidden states; block 0 is the zero initial state
     std::size_t cached_batch_ = 0;
+    std::size_t cached_seq_ = 0;
 };
 
 }  // namespace pipetune::nn

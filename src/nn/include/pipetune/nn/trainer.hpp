@@ -6,6 +6,12 @@
 // gradients are aggregated synchronously, and one update is applied. More
 // workers shrink per-replica shards, so small batch sizes pay relatively more
 // synchronization overhead — the cores-vs-batch-size crossover of Fig 3b.
+//
+// The replicas run on the calling thread's persistent worker team
+// (util::fan_out; shard 0 on the caller), and so does the end-of-epoch
+// evaluation, split into contiguous test slices. Neither changes a bit of
+// the arithmetic: every shard and slice computes what it did on one thread
+// (DESIGN.md §12 "Real epochs").
 
 #include <cstdint>
 
@@ -37,11 +43,13 @@ public:
     Trainer(Sequential model, const data::Dataset& train, const data::Dataset& test,
             TrainerConfig config);
 
-    /// One full pass over the training set using `workers` parallel replicas.
+    /// One full pass over the training set using `workers` parallel replicas,
+    /// then evaluate(workers).
     EpochStats run_epoch(std::size_t workers);
 
-    /// Accuracy [0, 100] on the test set.
-    double evaluate();
+    /// Accuracy [0, 100] on the test set, counted over `workers` contiguous
+    /// slices in parallel; the result does not depend on `workers`.
+    double evaluate(std::size_t workers = 1);
 
     Sequential& model() { return model_; }
     std::size_t epochs_done() const { return epochs_done_; }

@@ -1,9 +1,11 @@
 #include "pipetune/nn/recurrent.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "pipetune/tensor/ops.hpp"
+#include "pipetune/tensor/simd.hpp"
 
 namespace pipetune::nn {
 
@@ -76,102 +78,127 @@ Tensor Lstm::forward(const Tensor& input, bool /*training*/) {
     if (input.rank() != 3 || input.dim(2) != input_)
         throw std::invalid_argument("Lstm::forward: expected (batch, seq, " +
                                     std::to_string(input_) + ")");
-    const std::size_t batch = input.dim(0), seq = input.dim(1);
+    const std::size_t batch = input.dim(0), seq = input.dim(1), gates = 4 * hidden_;
     cached_batch_ = batch;
-    steps_.clear();
-    steps_.reserve(seq);
+    cached_seq_ = seq;
+    x_ = Tensor({seq * batch, input_});
+    for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t t = 0; t < seq; ++t)
+            std::copy_n(input.data() + (b * seq + t) * input_, input_,
+                        x_.data() + (t * batch + b) * input_);
 
-    Tensor h({batch, hidden_});
-    Tensor c({batch, hidden_});
+    // pre = x W^T + h U^T + b : (batch, 4H) per step. The x W^T terms of all
+    // steps are one GEMM up front; each element still starts from 0 and runs
+    // k-sequentially over D, so it is the per-step product bit for bit.
+    Tensor pre = tensor::matmul_transposed_b(x_, w_input_);
+    gates_ = Tensor({seq * batch, gates});
+    c_ = Tensor({(seq + 1) * batch, hidden_});
+    h_ = Tensor({(seq + 1) * batch, hidden_});
+    Tensor recur({batch, gates});
     for (std::size_t t = 0; t < seq; ++t) {
-        StepCache step;
-        step.x = Tensor({batch, input_});
-        for (std::size_t b = 0; b < batch; ++b)
-            for (std::size_t d = 0; d < input_; ++d) step.x(b, d) = input(b, t, d);
-
-        // pre = x W^T + h U^T + b : (batch, 4H)
-        Tensor pre = tensor::matmul_transposed_b(step.x, w_input_);
-        pre += tensor::matmul_transposed_b(h, w_recur_);
-        for (std::size_t b = 0; b < batch; ++b)
-            for (std::size_t j = 0; j < 4 * hidden_; ++j) pre(b, j) += bias_[j];
-
-        step.gates = Tensor({batch, 4 * hidden_});
-        Tensor c_next({batch, hidden_});
-        Tensor h_next({batch, hidden_});
-        for (std::size_t b = 0; b < batch; ++b)
+        recur.fill(0.0f);
+        tensor::simd::gemm_bt(batch, hidden_, gates, h_.data() + t * batch * hidden_,
+                              w_recur_.data(), recur.data());
+        float* pre_t = pre.data() + t * batch * gates;
+        float* gates_t = gates_.data() + t * batch * gates;
+        const float* c_prev = c_.data() + t * batch * hidden_;
+        float* c_next = c_.data() + (t + 1) * batch * hidden_;
+        float* h_next = h_.data() + (t + 1) * batch * hidden_;
+        for (std::size_t b = 0; b < batch; ++b) {
+            float* p = pre_t + b * gates;
+            const float* r = recur.data() + b * gates;
+            for (std::size_t j = 0; j < gates; ++j) p[j] = (p[j] + r[j]) + bias_[j];
+            float* g = gates_t + b * gates;
             for (std::size_t j = 0; j < hidden_; ++j) {
-                const float gi = sigmoid_scalar(pre(b, j));
-                const float gf = sigmoid_scalar(pre(b, hidden_ + j));
-                const float gg = std::tanh(pre(b, 2 * hidden_ + j));
-                const float go = sigmoid_scalar(pre(b, 3 * hidden_ + j));
-                step.gates(b, j) = gi;
-                step.gates(b, hidden_ + j) = gf;
-                step.gates(b, 2 * hidden_ + j) = gg;
-                step.gates(b, 3 * hidden_ + j) = go;
-                c_next(b, j) = gf * c(b, j) + gi * gg;
-                h_next(b, j) = go * std::tanh(c_next(b, j));
+                const float gi = sigmoid_scalar(p[j]);
+                const float gf = sigmoid_scalar(p[hidden_ + j]);
+                const float gg = std::tanh(p[2 * hidden_ + j]);
+                const float go = sigmoid_scalar(p[3 * hidden_ + j]);
+                g[j] = gi;
+                g[hidden_ + j] = gf;
+                g[2 * hidden_ + j] = gg;
+                g[3 * hidden_ + j] = go;
+                const std::size_t at = b * hidden_ + j;
+                c_next[at] = gf * c_prev[at] + gi * gg;
+                h_next[at] = go * std::tanh(c_next[at]);
             }
-        step.c = c_next;
-        step.h = h_next;
-        steps_.push_back(std::move(step));
-        h = std::move(h_next);
-        c = std::move(c_next);
+        }
     }
+    Tensor h({batch, hidden_});
+    std::copy_n(h_.data() + seq * batch * hidden_, batch * hidden_, h.data());
     return h;
 }
 
 Tensor Lstm::backward(const Tensor& grad_output) {
-    if (steps_.empty()) throw std::runtime_error("Lstm::backward before forward");
-    const std::size_t batch = cached_batch_, seq = steps_.size();
+    if (x_.empty()) throw std::runtime_error("Lstm::backward before forward");
+    const std::size_t batch = cached_batch_, seq = cached_seq_, gates = 4 * hidden_;
     if (grad_output.shape() != tensor::Shape{batch, hidden_})
         throw std::invalid_argument("Lstm::backward: grad shape mismatch");
 
-    Tensor grad_input({batch, seq, input_});
-    Tensor dh = grad_output;        // dL/dh_t flowing backward
-    Tensor dc({batch, hidden_});    // dL/dc_t flowing backward
+    Tensor d_pre({seq * batch, gates});  // every step's gate gradient, time-major
+    Tensor dh = grad_output;             // dL/dh_t flowing backward
+    Tensor dc({batch, hidden_});         // dL/dc_t flowing backward
+    Tensor dc_prev({batch, hidden_});
+    Tensor step_grad_input({gates, input_});
+    Tensor step_grad_recur({gates, hidden_});
 
     for (std::size_t ti = seq; ti-- > 0;) {
-        const StepCache& step = steps_[ti];
-        // c_{t-1} and h_{t-1}
-        const Tensor* c_prev = ti > 0 ? &steps_[ti - 1].c : nullptr;
-        const Tensor* h_prev = ti > 0 ? &steps_[ti - 1].h : nullptr;
-
-        Tensor d_pre({batch, 4 * hidden_});
-        Tensor dc_prev({batch, hidden_});
+        const float* gates_t = gates_.data() + ti * batch * gates;
+        const float* c_t = c_.data() + (ti + 1) * batch * hidden_;
+        const float* c_prev = c_.data() + ti * batch * hidden_;  // zeros at ti = 0
+        float* d_pre_t = d_pre.data() + ti * batch * gates;
         for (std::size_t b = 0; b < batch; ++b)
             for (std::size_t j = 0; j < hidden_; ++j) {
-                const float gi = step.gates(b, j);
-                const float gf = step.gates(b, hidden_ + j);
-                const float gg = step.gates(b, 2 * hidden_ + j);
-                const float go = step.gates(b, 3 * hidden_ + j);
-                const float tanh_c = std::tanh(step.c(b, j));
-                const float cp = c_prev ? (*c_prev)(b, j) : 0.0f;
+                const float* g = gates_t + b * gates;
+                const float gi = g[j];
+                const float gf = g[hidden_ + j];
+                const float gg = g[2 * hidden_ + j];
+                const float go = g[3 * hidden_ + j];
+                const float tanh_c = std::tanh(c_t[b * hidden_ + j]);
+                const float cp = c_prev[b * hidden_ + j];
 
                 const float dh_bj = dh(b, j);
                 const float dc_total = dc(b, j) + dh_bj * go * (1.0f - tanh_c * tanh_c);
 
-                d_pre(b, j) = dc_total * gg * gi * (1.0f - gi);                     // input gate
-                d_pre(b, hidden_ + j) = dc_total * cp * gf * (1.0f - gf);           // forget gate
-                d_pre(b, 2 * hidden_ + j) = dc_total * gi * (1.0f - gg * gg);       // candidate
-                d_pre(b, 3 * hidden_ + j) = dh_bj * tanh_c * go * (1.0f - go);      // output gate
+                float* d = d_pre_t + b * gates;
+                d[j] = dc_total * gg * gi * (1.0f - gi);                     // input gate
+                d[hidden_ + j] = dc_total * cp * gf * (1.0f - gf);           // forget gate
+                d[2 * hidden_ + j] = dc_total * gi * (1.0f - gg * gg);       // candidate
+                d[3 * hidden_ + j] = dh_bj * tanh_c * go * (1.0f - go);      // output gate
                 dc_prev(b, j) = dc_total * gf;
             }
 
-        // Parameter gradients.
-        grad_w_input_ += tensor::matmul_transposed_a(d_pre, step.x);
-        if (h_prev) grad_w_recur_ += tensor::matmul_transposed_a(d_pre, *h_prev);
+        // Parameter gradients: each step's product is summed from zero and
+        // then added, step by step — the order the weights' bits depend on.
+        step_grad_input.fill(0.0f);
+        tensor::simd::gemm_at(gates, batch, input_, d_pre_t, x_.data() + ti * batch * input_,
+                              step_grad_input.data());
+        grad_w_input_ += step_grad_input;
+        if (ti > 0) {
+            step_grad_recur.fill(0.0f);
+            tensor::simd::gemm_at(gates, batch, hidden_, d_pre_t,
+                                  h_.data() + ti * batch * hidden_, step_grad_recur.data());
+            grad_w_recur_ += step_grad_recur;
+        }
         for (std::size_t b = 0; b < batch; ++b)
-            for (std::size_t j = 0; j < 4 * hidden_; ++j) grad_bias_[j] += d_pre(b, j);
-
-        // Input gradient for this timestep.
-        Tensor dx = tensor::matmul(d_pre, w_input_);  // (batch, D)
-        for (std::size_t b = 0; b < batch; ++b)
-            for (std::size_t d = 0; d < input_; ++d) grad_input(b, ti, d) = dx(b, d);
+            for (std::size_t j = 0; j < gates; ++j) grad_bias_[j] += d_pre_t[b * gates + j];
 
         // Recurrent gradient for the previous hidden state.
-        dh = tensor::matmul(d_pre, w_recur_);  // (batch, H)
-        dc = std::move(dc_prev);
+        if (ti > 0) {
+            dh.fill(0.0f);
+            tensor::simd::gemm(batch, gates, hidden_, d_pre_t, w_recur_.data(), dh.data());
+        }
+        std::swap(dc, dc_prev);
     }
+
+    // Input gradient of every step in one GEMM: row t * B + b is the
+    // per-step d_pre W_in product, from zero and k-sequential over 4H.
+    const Tensor dx = tensor::matmul(d_pre, w_input_);
+    Tensor grad_input({batch, seq, input_});
+    for (std::size_t t = 0; t < seq; ++t)
+        for (std::size_t b = 0; b < batch; ++b)
+            std::copy_n(dx.data() + (t * batch + b) * input_, input_,
+                        grad_input.data() + (b * seq + t) * input_);
     return grad_input;
 }
 

@@ -1,5 +1,6 @@
 #include "pipetune/nn/sequential.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace pipetune::nn {
@@ -30,8 +31,10 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
 }
 
 void Sequential::backward(const Tensor& grad_logits) {
+    if (layers_.empty()) return;
     Tensor g = grad_logits;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+    for (auto it = layers_.rbegin(); std::next(it) != layers_.rend(); ++it) g = (*it)->backward(g);
+    layers_.front()->backward_params_only(g);
 }
 
 std::vector<Tensor*> Sequential::params() {

@@ -1,12 +1,12 @@
 #include "pipetune/nn/trainer.hpp"
 
+#include <algorithm>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "pipetune/tensor/ops.hpp"
 #include "pipetune/util/stats.hpp"
-#include "pipetune/util/thread_pool.hpp"
+#include "pipetune/util/worker_team.hpp"
 
 namespace pipetune::nn {
 
@@ -51,10 +51,6 @@ EpochStats Trainer::run_epoch(std::size_t workers) {
 
     util::RunningStats loss_stats, acc_stats;
     data::Batch batch;
-    // Lazy pool: single-worker epochs (the common case) never pay for thread
-    // spawn/teardown; multi-worker epochs spin it up once, not per batch.
-    std::optional<util::ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
     while (batches.next(batch)) {
         const std::size_t batch_n = batch.labels.size();
         const std::size_t used_workers = std::min(workers, batch_n);
@@ -78,7 +74,8 @@ EpochStats Trainer::run_epoch(std::size_t workers) {
             std::vector<double> shard_loss(used_workers, 0.0);
             std::vector<double> shard_correct(used_workers, 0.0);
 
-            pool->parallel_for(used_workers, [&](std::size_t w) {
+            // Shard w runs on this thread's worker team (shard 0 on this thread).
+            util::fan_out(used_workers, [&](std::size_t w) {
                 const auto& rows = shard_rows[w];
                 tensor::Shape shard_shape = batch.features.shape();
                 shard_shape[0] = rows.size();
@@ -126,21 +123,22 @@ EpochStats Trainer::run_epoch(std::size_t workers) {
 
     stats.train_loss = loss_stats.mean();
     stats.train_accuracy = acc_stats.mean();
-    stats.test_accuracy = evaluate();
+    stats.test_accuracy = evaluate(workers);
     return stats;
 }
 
-double Trainer::evaluate() {
+namespace {
+/// Test samples in [begin, end) that `model` classifies correctly, forwarded
+/// in chunks of at most kEvalBatch rows.
+std::size_t count_correct(Sequential& model, const data::Dataset& test, std::size_t begin,
+                          std::size_t end) {
     constexpr std::size_t kEvalBatch = 128;
     std::size_t correct = 0;
-    std::vector<std::size_t> indices(test_.size());
-    std::iota(indices.begin(), indices.end(), 0);
-    for (std::size_t start = 0; start < indices.size(); start += kEvalBatch) {
-        const std::size_t end = std::min(start + kEvalBatch, indices.size());
-        std::vector<std::size_t> slice(indices.begin() + static_cast<std::ptrdiff_t>(start),
-                                       indices.begin() + static_cast<std::ptrdiff_t>(end));
-        data::Batch batch = data::stack_batch(test_, slice);
-        Tensor logits = model_.forward(batch.features, /*training=*/false);
+    for (std::size_t start = begin; start < end; start += kEvalBatch) {
+        std::vector<std::size_t> slice(std::min(kEvalBatch, end - start));
+        std::iota(slice.begin(), slice.end(), start);
+        data::Batch batch = data::stack_batch(test, slice);
+        Tensor logits = model.forward(batch.features, /*training=*/false);
         const std::size_t classes = logits.dim(1);
         for (std::size_t i = 0; i < batch.labels.size(); ++i) {
             std::size_t best = 0;
@@ -149,7 +147,25 @@ double Trainer::evaluate() {
             if (best == batch.labels[i]) ++correct;
         }
     }
-    return 100.0 * static_cast<double>(correct) / static_cast<double>(test_.size());
+    return correct;
+}
+}  // namespace
+
+double Trainer::evaluate(std::size_t workers) {
+    const std::size_t samples = test_.size();
+    workers = std::clamp<std::size_t>(workers, 1, std::max<std::size_t>(1, samples));
+    // A logit row depends only on its own sample (every kernel accumulates
+    // each output element independently of the other rows), so contiguous
+    // slices on the synced replicas count exactly what one pass would.
+    if (workers > 1) sync_replicas(workers);
+    std::vector<std::size_t> correct(workers, 0);
+    util::fan_out(workers, [&](std::size_t w) {
+        Sequential& model = workers == 1 ? model_ : replicas_[w];
+        correct[w] = count_correct(model, test_, w * samples / workers,
+                                   (w + 1) * samples / workers);
+    });
+    const std::size_t total = std::accumulate(correct.begin(), correct.end(), std::size_t{0});
+    return 100.0 * static_cast<double>(total) / static_cast<double>(samples);
 }
 
 }  // namespace pipetune::nn

@@ -39,7 +39,10 @@ struct Conv2dGrads {
     Tensor grad_kernel;
     Tensor grad_bias;
 };
-Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& kernel, const Tensor& grad_out);
+/// With `input_grad` false, grad_input is left empty and its GEMM and
+/// scatter are skipped; grad_kernel and grad_bias are unchanged by the flag.
+Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& kernel, const Tensor& grad_out,
+                            bool input_grad = true);
 
 // ---- Max pooling (non-overlapping window, NCHW) ----
 // Truncates trailing rows/cols that do not fill a window (matches BigDL's

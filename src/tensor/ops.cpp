@@ -175,7 +175,8 @@ Tensor conv2d(const Tensor& input, const Tensor& kernel, const Tensor& bias) {
     return out;
 }
 
-Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& kernel, const Tensor& grad_out) {
+Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& kernel, const Tensor& grad_out,
+                            bool input_grad) {
     require_conv_shapes(input, kernel);
     const std::size_t n = input.dim(0);
     const ConvDims d{input.dim(1), input.dim(2), input.dim(3), kernel.dim(0),
@@ -184,10 +185,11 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& kernel, const Ten
     if (grad_out.shape() != Shape{n, d.f, d.oh, d.ow})
         throw std::invalid_argument("conv2d_backward: grad_out shape mismatch");
 
-    Conv2dGrads grads{Tensor({n, d.c, d.h, d.w}), Tensor({d.f, d.c, d.kh, d.kw}), Tensor({d.f})};
+    Conv2dGrads grads{input_grad ? Tensor({n, d.c, d.h, d.w}) : Tensor(),
+                      Tensor({d.f, d.c, d.kh, d.kw}), Tensor({d.f})};
     ArenaScope scope;
     float* col = scope.alloc_floats(d.patches() * d.patch_len());
-    float* dcol = scope.alloc_floats(d.patches() * d.patch_len());
+    float* dcol = input_grad ? scope.alloc_floats(d.patches() * d.patch_len()) : nullptr;
     for (std::size_t b = 0; b < n; ++b) {
         im2col(d, input.data() + b * d.c * d.h * d.w, col);
         const float* gout_b = grad_out.data() + b * d.f * d.patches();
@@ -199,6 +201,7 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& kernel, const Ten
         }
         // dK (F x K) += gout_b (F x P) @ col (K x P)^T
         simd::gemm_bt(d.f, d.patches(), d.patch_len(), gout_b, col, grads.grad_kernel.data());
+        if (!input_grad) continue;
         // dcol (P x K) = gout_b^T (P x F) @ kernel (F x K), then scatter.
         std::fill(dcol, dcol + d.patches() * d.patch_len(), 0.0f);
         simd::gemm_at(d.patches(), d.f, d.patch_len(), gout_b, kernel.data(), dcol);

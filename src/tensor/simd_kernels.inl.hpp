@@ -286,7 +286,21 @@ void k_gemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const f
                 V::store(c + (i0 + r) * n + j0 + W, acc1[r]);
             }
         }
-        for (std::size_t j = main_n; j < n; ++j)
+        // One-vector block for a column remainder of at least W (the LSTM's
+        // dX has n = embedding in [8, 30]), so only n mod W stays scalar.
+        std::size_t tail_n = main_n;
+        if (n - main_n >= W) {
+            typename V::Reg acc[kGemmRowTile];
+            for (std::size_t r = 0; r < rows; ++r) acc[r] = V::load(c + (i0 + r) * n + main_n);
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const auto bv = V::load(b + kk * n + main_n);
+                for (std::size_t r = 0; r < rows; ++r)
+                    acc[r] = V::add(acc[r], V::mul(V::set1(a[(i0 + r) * k + kk]), bv));
+            }
+            for (std::size_t r = 0; r < rows; ++r) V::store(c + (i0 + r) * n + main_n, acc[r]);
+            tail_n += W;
+        }
+        for (std::size_t j = tail_n; j < n; ++j)
             for (std::size_t r = 0; r < rows; ++r) {
                 float acc = c[(i0 + r) * n + j];
                 const float* arow = a + (i0 + r) * k;

@@ -1,8 +1,8 @@
 #pragma once
-// Fixed-size thread pool used by the data-parallel trainer (nn::Trainer splits
-// each minibatch across N workers and synchronizes gradients, which is the
-// mechanism behind the paper's cores-vs-batch-size interaction, Fig 3b) and by
-// parallel trial execution in the HPT runner.
+// Fixed-size thread pool behind the scheduler's worker slots
+// (sched::ClusterScheduler submits one task per job). The data-parallel epoch
+// path does not use it: it fans out on util::fan_out's per-thread worker teams
+// (worker_team.hpp).
 
 #include <condition_variable>
 #include <cstddef>
@@ -45,10 +45,6 @@ public:
         cv_.notify_one();
         return future;
     }
-
-    /// Run fn(i) for i in [0, count) across the pool and wait for completion.
-    /// Exceptions from tasks propagate (first one rethrown).
-    void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
 private:
     void worker_loop();

@@ -45,21 +45,4 @@ void ThreadPool::worker_loop() {
     }
 }
 
-void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    if (count == 0) return;
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        futures.push_back(submit([&fn, i] { fn(i); }));
-    std::exception_ptr first_error;
-    for (auto& future : futures) {
-        try {
-            future.get();
-        } catch (...) {
-            if (!first_error) first_error = std::current_exception();
-        }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-}
-
 }  // namespace pipetune::util

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "pipetune/data/synthetic.hpp"
 #include "pipetune/nn/basic_layers.hpp"
 #include "pipetune/nn/models.hpp"
@@ -7,6 +11,7 @@
 #include "pipetune/nn/sequential.hpp"
 #include "pipetune/nn/trainer.hpp"
 #include "pipetune/tensor/ops.hpp"
+#include "pipetune/tensor/simd.hpp"
 
 namespace pipetune::nn {
 namespace {
@@ -243,6 +248,126 @@ TEST(Training, EvaluateIsSideEffectFree) {
     const double first = trainer.evaluate();
     const double second = trainer.evaluate();
     EXPECT_DOUBLE_EQ(first, second);
+}
+
+// ---- Golden bit-identity (DESIGN.md §12 "Real epochs") ----
+// Three epochs of each RealBackend model at 1 and 2 workers must reproduce,
+// bit for bit, the EpochStats and parameters the trainer produced before the
+// persistent worker team, the split evaluation, the first-layer input-grad
+// skip and the hoisted LSTM GEMMs — under the scalar and the AVX2 kernels.
+// The shapes are RealBackend's: 192 training and 64 test samples, 20x20
+// images, vocab 400, 16-token sequences, 6 classes; the LSTM's embedding of
+// 26 gives its dX GEMM an n mod 16 >= 8 column block plus a scalar tail.
+
+std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) hash = (hash ^ p[i]) * 0x100000001b3ULL;
+    return hash;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+struct GoldenCase {
+    const char* model;
+    std::size_t workers;
+    std::uint64_t stats_hash;   ///< every epoch's EpochStats, in order
+    std::uint64_t params_hash;  ///< every parameter tensor after epoch 3
+};
+
+const GoldenCase kGolden[] = {
+    {"lenet", 1, 0x67d250a90b35bafaULL, 0xa791ebb130a47146ULL},
+    {"lenet", 2, 0xec09d935f5718e22ULL, 0xe6208eca560c92caULL},
+    {"textcnn", 1, 0xe6b30a652a281b55ULL, 0x9caa57d0c9b0f591ULL},
+    {"textcnn", 2, 0x3cad3ebb3b39d5c5ULL, 0x90f680587a79db6cULL},
+    {"lstm", 1, 0x1435e032623c8892ULL, 0x9c9c84f3f23de7c7ULL},
+    {"lstm", 2, 0xf22126a04198fa5aULL, 0x388a68eb6a30fc0eULL},
+};
+
+GoldenCase train_golden(const std::string& model_name, std::size_t workers) {
+    constexpr std::size_t kClasses = 6, kTrain = 192, kTest = 64;
+    data::TrainTestPair split;
+    Sequential model;
+    TrainerConfig config;
+    config.sgd = {.learning_rate = 0.05, .momentum = 0.9, .weight_decay = 0.0};
+    config.seed = 17;
+    if (model_name == "lenet") {
+        data::ImageDatasetConfig image;
+        image.classes = kClasses;
+        image.samples = kTrain;
+        image.image_size = 20;
+        image.seed = 5;
+        split = data::make_image_split(image, "mnist", kTest);
+        ImageModelConfig lenet;
+        lenet.image_size = 20;
+        lenet.classes = kClasses;
+        lenet.dropout = 0.2;
+        lenet.seed = 7;
+        model = build_lenet5(lenet);
+        config.batch_size = 16;
+    } else {
+        data::TextDatasetConfig text;
+        text.classes = kClasses;
+        text.samples = kTrain;
+        text.vocab_size = 400;
+        text.seq_len = 16;
+        text.topic_strength = 0.7;
+        text.seed = 6;
+        split = data::make_text_split(text, "news20", kTest);
+        TextModelConfig cfg;
+        cfg.vocab_size = 400;
+        cfg.seq_len = 16;
+        cfg.classes = kClasses;
+        cfg.dropout = 0.1;
+        cfg.seed = 8;
+        if (model_name == "textcnn") {
+            cfg.embedding_dim = 8;
+            model = build_textcnn(cfg);
+            config.batch_size = 16;
+        } else {
+            cfg.embedding_dim = 26;
+            model = build_lstm_classifier(cfg);
+            config.batch_size = 12;
+        }
+    }
+    Trainer trainer(std::move(model), *split.train, *split.test, config);
+    std::uint64_t stats_hash = kFnvBasis;
+    for (int e = 0; e < 3; ++e) {
+        const EpochStats s = trainer.run_epoch(workers);
+        const double values[] = {s.train_loss, s.train_accuracy, s.test_accuracy};
+        stats_hash = fnv1a(stats_hash, values, sizeof(values));
+        const std::uint64_t counts[] = {s.batches, s.epoch};
+        stats_hash = fnv1a(stats_hash, counts, sizeof(counts));
+    }
+    std::uint64_t params_hash = kFnvBasis;
+    for (const Tensor* p : trainer.model().params())
+        params_hash = fnv1a(params_hash, p->data(), p->numel() * sizeof(float));
+    return {nullptr, workers, stats_hash, params_hash};
+}
+
+void expect_golden(tensor::simd::Isa isa) {
+    tensor::simd::force_isa(isa);
+    for (const GoldenCase& want : kGolden) {
+        const GoldenCase got = train_golden(want.model, want.workers);
+        char hex[64];
+        std::snprintf(hex, sizeof(hex), "{0x%016llxULL, 0x%016llxULL}",
+                      static_cast<unsigned long long>(got.stats_hash),
+                      static_cast<unsigned long long>(got.params_hash));
+        EXPECT_EQ(got.stats_hash, want.stats_hash)
+            << tensor::simd::to_string(isa) << " " << want.model << " x" << want.workers
+            << " got " << hex;
+        EXPECT_EQ(got.params_hash, want.params_hash)
+            << tensor::simd::to_string(isa) << " " << want.model << " x" << want.workers
+            << " got " << hex;
+    }
+    tensor::simd::reset_isa();
+}
+
+TEST(GoldenEpochs, ScalarKernelsReproduceTheCapturedRun) {
+    expect_golden(tensor::simd::Isa::kScalar);
+}
+
+TEST(GoldenEpochs, Avx2KernelsReproduceTheCapturedRun) {
+    if (tensor::simd::best_isa() != tensor::simd::Isa::kAvx2) GTEST_SKIP() << "host has no AVX2";
+    expect_golden(tensor::simd::Isa::kAvx2);
 }
 
 TEST(Training, AccuracyOfComputesArgmaxMatches) {

@@ -180,6 +180,18 @@ TEST(Conv2d, BackwardMatchesFiniteDifferenceOnInput) {
         EXPECT_NEAR(grads.grad_input[i], numeric[i], 5e-2f);
 }
 
+TEST(Conv2d, BackwardWithoutInputGradKeepsParameterGradsBitForBit) {
+    util::Rng rng(9);
+    Tensor input = Tensor::uniform({2, 1, 8, 8}, rng);
+    Tensor kernel = Tensor::uniform({3, 1, 5, 5}, rng, -0.5f, 0.5f);
+    Tensor grad_out = Tensor::uniform({2, 3, 4, 4}, rng);
+    const auto full = conv2d_backward(input, kernel, grad_out);
+    const auto params_only = conv2d_backward(input, kernel, grad_out, /*input_grad=*/false);
+    EXPECT_TRUE(params_only.grad_input.empty());
+    EXPECT_EQ(params_only.grad_kernel.storage(), full.grad_kernel.storage());
+    EXPECT_EQ(params_only.grad_bias.storage(), full.grad_bias.storage());
+}
+
 TEST(Conv2d, BackwardMatchesFiniteDifferenceOnKernelAndBias) {
     util::Rng rng(8);
     Tensor input = Tensor::uniform({1, 1, 4, 4}, rng);

@@ -316,6 +316,58 @@ TEST(SimdParity, GemmMatchesReferenceExactly) {
         }
 }
 
+// Every column-tail width the GEMMs can meet: n = 1..40 covers each n mod 16
+// class (the 2x8 tile, the one-vector block, the scalar tail) more than
+// twice; m runs inside, at and past the 4-row tile; k from one step to past a
+// vector. Each ISA must equal a plain k-sequential loop from the incoming C
+// exactly, so a column path that reorders the accumulation fails even when
+// it does so on both ISAs alike.
+TEST(SimdParity, EveryGemmTailWidthMatchesTheSequentialReference) {
+    enum class Op { kGemm, kGemmBt, kGemmAt };
+    std::vector<simd::Isa> isas{simd::Isa::kScalar};
+    if (simd::best_isa() == simd::Isa::kAvx2) isas.push_back(simd::Isa::kAvx2);
+    util::Rng rng(50);
+    for (Op op : {Op::kGemm, Op::kGemmBt, Op::kGemmAt})
+        for (std::size_t m : {1, 3, 4, 5})
+            for (std::size_t k : {1, 7, 33})
+                for (std::size_t n = 1; n <= 40; ++n) {
+                    auto a = random_vec(m * k, rng);
+                    auto b = random_vec(k * n, rng);
+                    const auto c0 = random_vec(m * n, rng);
+                    a[0] = 0.0f;  // gemm_at's sparsity skip
+                    std::vector<float> want = c0;
+                    for (std::size_t i = 0; i < m; ++i)
+                        for (std::size_t j = 0; j < n; ++j) {
+                            float acc = c0[i * n + j];
+                            for (std::size_t kk = 0; kk < k; ++kk) {
+                                if (op == Op::kGemm) {
+                                    acc = acc + a[i * k + kk] * b[kk * n + j];
+                                } else if (op == Op::kGemmBt) {
+                                    acc = acc + a[i * k + kk] * b[j * k + kk];
+                                } else if (a[kk * m + i] != 0.0f) {
+                                    acc = acc + a[kk * m + i] * b[kk * n + j];
+                                }
+                            }
+                            want[i * n + j] = acc;
+                        }
+                    for (simd::Isa isa : isas) {
+                        simd::force_isa(isa);
+                        std::vector<float> got = c0;
+                        if (op == Op::kGemm)
+                            simd::gemm(m, k, n, a.data(), b.data(), got.data());
+                        else if (op == Op::kGemmBt)
+                            simd::gemm_bt(m, k, n, a.data(), b.data(), got.data());
+                        else
+                            simd::gemm_at(m, k, n, a.data(), b.data(), got.data());
+                        simd::reset_isa();
+                        SCOPED_TRACE(::testing::Message()
+                                     << simd::to_string(isa) << " op " << static_cast<int>(op)
+                                     << " m=" << m << " k=" << k << " n=" << n);
+                        expect_bits_equal(got, want, "gemm tail");
+                    }
+                }
+}
+
 TEST(SimdDispatch, ForceIsaRoundTrips) {
     const simd::Isa best = simd::best_isa();
     EXPECT_EQ(simd::active_isa(), best);

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 
 namespace pipetune::util {
@@ -19,35 +18,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 TEST(ThreadPool, SizeClampedToAtLeastOne) {
     ThreadPool pool(0);
     EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(100);
-    pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-    ThreadPool pool(2);
-    pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallel_for(8,
-                          [&](std::size_t i) {
-                              if (i == 3) throw std::runtime_error("boom");
-                          }),
-        std::runtime_error);
-}
-
-TEST(ThreadPool, ManyTasksAggregateCorrectly) {
-    ThreadPool pool(3);
-    std::atomic<long> total{0};
-    pool.parallel_for(1000, [&](std::size_t i) { total.fetch_add(static_cast<long>(i)); });
-    EXPECT_EQ(total.load(), 999L * 1000 / 2);
 }
 
 TEST(ThreadPool, FuturesFromMultipleSubmits) {
